@@ -17,8 +17,9 @@ Two modes:
   sketch p50/p99 against full-retention reference latencies within the
   sketch's documented rank-error bound;
 - **smoke** (``SMILESS_BENCH_SMOKE=1``): a 100,000-invocation sketch run
-  plus a 20,000-invocation ``smiless`` co-run.  When a recorded smoke
-  baseline exists
+  plus a 20,000-invocation ``smiless`` co-run, both written under the
+  test's temporary directory (the committed records are full-mode
+  only).  When a recorded smoke baseline exists
   (``benchmarks/results/BENCH_macro_smoke_baseline.json``), the run
   fails if simulation wall-clock regresses past ``MAX_SMOKE_REGRESSION``
   times the recording.  Used by CI.
@@ -33,6 +34,8 @@ import subprocess
 import sys
 
 import numpy as np
+
+from repro.experiments.runners import PAPER_APPS
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_macro.json"
@@ -85,6 +88,8 @@ def _run_bench(
 
 def _check_record(record: dict, invocations: int, policy: str = "grandslam") -> None:
     assert record["generated_by"] == "repro bench --macro"
+    assert record["app_list"] == list(PAPER_APPS)
+    assert set(record["provenance"]) == {"commit", "usable_cores", "python", "numpy"}
     assert record["invocations_target"] == invocations
     assert record["policy"] == policy
     assert record["retention"] == "sketch"
@@ -93,12 +98,12 @@ def _check_record(record: dict, invocations: int, policy: str = "grandslam") -> 
     assert record["completed"] >= 0.95 * invocations
     assert record["peak_rss_mb"] > 0
     assert record["events_per_second"] > 0
-    assert set(record["apps"]) == {"amber-alert", "image-query", "voice-assistant"}
+    assert set(record["apps"]) == set(PAPER_APPS)
 
 
 def test_macro_bench(tmp_path):
     if SMOKE:
-        record = _run_bench(100_000, BENCH_JSON)
+        record = _run_bench(100_000, tmp_path / "macro_smoke.json")
         _check_record(record, 100_000)
         print(
             f"\n[perf macrobench] mode=smoke "
@@ -238,11 +243,10 @@ def test_sharded_differential_100k():
     import math
 
     from repro.experiments.parallel import EnvSpec
-    from repro.experiments.runners import APP_BUILDERS
     from repro.sharding import ShardPlan, run_sharded
     from repro.workload.azure import PRESETS
 
-    apps = tuple(sorted(APP_BUILDERS))
+    apps = PAPER_APPS
     rate = len(apps) / PRESETS["flood"].mean_gap
     duration = float(np.ceil(100_000 / rate))
     envs = tuple(
@@ -284,15 +288,15 @@ def test_sketch_quantiles_match_full_reference_at_scale():
 
         pytest.skip("full-reference comparison runs in full mode only")
 
-    from repro.experiments.runners import APP_BUILDERS, build_environment
+    from repro.experiments.runners import build_environment
     from repro.simulator import Deployment, MultiAppSimulator
     from repro.workload.azure import PRESETS
 
-    rate = len(APP_BUILDERS) / PRESETS["flood"].mean_gap
+    rate = len(PAPER_APPS) / PRESETS["flood"].mean_gap
     duration = float(np.ceil(100_000 / rate))
     envs = [
         build_environment(name, preset="flood", duration=duration)
-        for name in sorted(APP_BUILDERS)
+        for name in PAPER_APPS
     ]
 
     def co_run(retention: str):

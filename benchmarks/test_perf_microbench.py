@@ -64,8 +64,11 @@ SMILESS_MIN_ORION_FRACTION = 0.2
 #: sla 2.0, duration 150 s, env seed 0, sim seed 3) on the pre-optimization
 #: engine, measured in this repository's reference container from a git
 #: worktree at the seed commit: environments built once per app, then every
-#: cell's ``make_policy`` + ``run`` timed serially — the same accounting
-#: :func:`run_cell` uses.  Only comparable to full-mode runs.
+#: cell's ``make_policy`` + ``run`` timed serially.  It is compared with the
+#: whole grid's wall time (``_timed_grid``: environment builds, policy
+#: construction including predictor training, and runs), not with the
+#: per-cell ``CellResult.wall_clock``, which no longer counts policy
+#: construction.  Only comparable to full-mode runs.
 SEED_BASELINE_SECONDS = 17.05
 
 #: Acceptance floor for the optimized engine (indexed pools + cancellable

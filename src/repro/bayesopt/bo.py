@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.bayesopt.gp import GaussianProcess
 from repro.utils.rng import ensure_rng
@@ -33,6 +32,8 @@ def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.01
 ) -> np.ndarray:
     """EI for *minimization* with exploration margin ``xi``."""
+    from scipy.stats import norm  # lazy: only aquatope runs BO
+
     improvement = best - mean - xi
     z = improvement / np.clip(std, 1e-12, None)
     return improvement * norm.cdf(z) + std * norm.pdf(z)

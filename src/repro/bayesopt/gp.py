@@ -3,12 +3,14 @@
 Minimal, numerically careful implementation: Cholesky-based posterior,
 jitter on the diagonal, standardized targets.  Used by the Aquatope
 baseline's Bayesian optimizer.
+
+SciPy is imported inside the methods that need it: only ``aquatope``
+fits a GP, so no other policy's process pays the import.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from repro.utils.validation import check_positive
 
@@ -38,6 +40,8 @@ class GaussianProcess:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Condition the GP on observations ``(X, y)``."""
+        from scipy.linalg import cho_factor, cho_solve
+
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float)
         if X.shape[0] != y.shape[0]:
@@ -58,6 +62,8 @@ class GaussianProcess:
         """Posterior mean and standard deviation at query points ``X``."""
         if self._X is None or self._alpha is None:
             raise RuntimeError("GP must be fit() before prediction")
+        from scipy.linalg import cho_solve
+
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Ks = rbf_kernel(X, self._X, self.length_scale)
         mean = Ks @ self._alpha

@@ -63,7 +63,7 @@ from repro.experiments import (
     run_scenario,
     run_sla_sweep,
 )
-from repro.experiments.runners import APP_BUILDERS, POLICY_NAMES
+from repro.experiments.runners import APP_BUILDERS, PAPER_APPS, POLICY_NAMES
 from repro.simulator.metrics import RETENTION_MODES
 from repro.workload.azure import PRESETS
 
@@ -326,6 +326,35 @@ def _json_safe(value):
     return value
 
 
+def _provenance() -> dict:
+    """Where a benchmark record was made: commit, usable cores, versions."""
+    import os
+    import platform
+    import subprocess
+    from pathlib import Path
+
+    import numpy as np
+
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        commit = None  # not a git checkout (an installed package)
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "commit": commit,
+        "usable_cores": len(affinity(0)) if affinity else os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def cmd_report(args) -> int:
     from repro.simulator.reporting import format_report
 
@@ -470,7 +499,9 @@ def cmd_bench(args) -> int:
     out = args.out or (
         "BENCH_macro_sharded.json" if sharded else "BENCH_macro.json"
     )
-    apps = tuple(sorted(APP_BUILDERS))
+    # Sorted and deduplicated: the record names a set of apps, not the
+    # order they were typed in.
+    apps = tuple(sorted(set(args.apps)))
     rate_per_app = 1.0 / PRESETS[args.preset].mean_gap
     aggregate_rate = rate_per_app * len(apps)
     duration = (
@@ -485,7 +516,7 @@ def cmd_bench(args) -> int:
         else ""
     )
     print(
-        f"macro bench: {len(apps)} apps x preset {args.preset!r} "
+        f"macro bench: {len(apps)} apps ({', '.join(apps)}) x preset {args.preset!r} "
         f"(~{aggregate_rate:.0f} arrivals/s aggregate) for {duration:.0f}s "
         f"under {args.policy!r}, retention={args.retention!r}{shard_banner}"
     )
@@ -513,6 +544,8 @@ def cmd_bench(args) -> int:
     completed = sum(s["invocations"] for s in res.summary.values())
     record = {
         "generated_by": "repro bench --macro",
+        "app_list": list(apps),
+        "provenance": _provenance(),
         "invocations_target": int(args.invocations),
         "completed": int(completed),
         "policy": args.policy,
@@ -901,6 +934,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1_000_000,
         help="target aggregate arrival count (sets the horizon)",
+    )
+    p.add_argument(
+        "--apps",
+        nargs="+",
+        default=list(PAPER_APPS),
+        choices=sorted(APP_BUILDERS),
+        metavar="APP",
+        help="apps co-run on the shared cluster (default: the paper's "
+        f"three, {' '.join(PAPER_APPS)})",
     )
     p.add_argument("--preset", default="flood", choices=sorted(PRESETS))
     p.add_argument("--policy", default="grandslam", choices=POLICY_NAMES)

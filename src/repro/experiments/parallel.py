@@ -13,6 +13,9 @@ order, which keeps result lists stable too.
 Worker processes memoize environments per :class:`EnvSpec` (profiling and
 trace synthesis are the expensive, deterministic part), so a sweep of many
 policies over one environment pays the build cost once per process.
+Policies are built before a cell's clock starts: SMIless-family
+constructors train their predictors there (cached per training series),
+and ``CellResult.wall_clock`` times the simulation only.
 """
 
 from __future__ import annotations
@@ -238,13 +241,14 @@ def run_cell(spec: CellSpec | MultiAppCellSpec) -> CellResult:
 
     env = _environment(spec.env)
     recorder = _make_recorder(spec)
+    # Built before the clock starts: SMIless constructors train their
+    # predictors, which ``wall_clock`` must not count.
+    policy = env.make_policy(spec.policy)
     start = time.perf_counter()
-    # Policy construction is part of the cell: policies may train
-    # predictors, which dominates some cells' cost.
     sim = ServerlessSimulator(
         env.app,
         env.trace,
-        env.make_policy(spec.policy),
+        policy,
         seed=spec.sim_seed,
         recorder=recorder,
         init_failure_rate=spec.init_failure_rate,
@@ -321,11 +325,12 @@ def _run_multiapp_cell(spec: MultiAppCellSpec) -> CellResult:
     envs = [_environment(e) for e in spec.envs]
     by_app = {env.app.name: env for env in envs}
     recorder = _make_recorder(spec)
-    start = time.perf_counter()
+    # Built before the clock starts, as in run_cell.
     deployments = [
         Deployment(env.app, env.trace, env.make_policy(spec.policy))
         for env in envs
     ]
+    start = time.perf_counter()
     sim = MultiAppSimulator(
         deployments,
         seed=spec.sim_seed,

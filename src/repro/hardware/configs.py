@@ -51,6 +51,13 @@ class HardwareConfig:
     Exactly one of ``cpu_cores`` / ``gpu_fraction`` is meaningful, selected
     by ``backend``.  Instances are immutable, hashable and ordered by unit
     cost so collections of configurations sort cheapest-first by default.
+
+    Configurations key the instance pools' counters on every state
+    transition, so ``__post_init__`` computes the hash once.  It is the
+    value the generated dataclass hash would return (set and dict order
+    is unchanged).  Pickling rebuilds the object through ``__init__``
+    rather than copying the cached hash: ``Backend`` hashes its name,
+    and string hashes differ per process.
     """
 
     backend: Backend
@@ -58,6 +65,9 @@ class HardwareConfig:
     gpu_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.backend, self.cpu_cores, self.gpu_fraction))
+        )
         if self.backend is Backend.CPU:
             if self.cpu_cores not in CPU_CORE_OPTIONS:
                 raise ValueError(
@@ -103,6 +113,12 @@ class HardwareConfig:
         if self.backend is Backend.CPU:
             return 0
         return int(round(self.gpu_fraction / MPS_UNIT))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.backend, self.cpu_cores, self.gpu_fraction))
 
     def __lt__(self, other: "HardwareConfig") -> bool:
         if not isinstance(other, HardwareConfig):

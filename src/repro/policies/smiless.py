@@ -70,33 +70,37 @@ def _train_key(kind: str, counts: np.ndarray, seed: int) -> tuple:
     return (kind, str(counts.dtype), counts.size, digest, seed)
 
 
+def _train_invocation(counts: np.ndarray, seed: int) -> InvocationPredictor:
+    return _cached_predictor(
+        _train_key("invocation", counts, seed),
+        lambda: InvocationPredictor(
+            bucket_size=1, n_buckets=16, epochs=4, seed=seed
+        ).fit(counts),
+    )
+
+
+def _train_interarrival(counts: np.ndarray, seed: int) -> InterArrivalPredictor:
+    return _cached_predictor(
+        _train_key("interarrival", counts, seed),
+        lambda: InterArrivalPredictor(epochs=15, seed=seed).fit(counts),
+    )
+
+
 def pretrain_predictors(train_counts: np.ndarray, seed: int = 0) -> None:
     """Train-and-cache the SMIless predictors for a training series.
 
-    Uses the exact cache keys, hyperparameters and seed the policy's own
-    lazy training path uses, so a later :class:`SMIlessPolicy` built with
-    the same ``train_counts`` gets a cache hit instead of paying seconds
-    of LSTM training inside the (timed) simulation run.  Called from
-    environment construction, which is the natural home for deterministic
-    offline preparation (profiling already lives there).
+    Runs the policy's own training path (same cache keys, hyperparameters
+    and seed), so a later :class:`SMIlessPolicy` built with the same
+    ``train_counts`` gets a cache hit.  Nothing calls it on the run path:
+    policy construction trains on demand, so only the SMIless family
+    ever pays for training.
     """
     counts = np.asarray(train_counts)
-    try:
-        _cached_predictor(
-            _train_key("invocation", counts, seed),
-            lambda: InvocationPredictor(
-                bucket_size=1, n_buckets=16, epochs=4, seed=seed
-            ).fit(counts),
-        )
-    except ValueError:
-        pass
-    try:
-        _cached_predictor(
-            _train_key("interarrival", counts, seed),
-            lambda: InterArrivalPredictor(epochs=15, seed=seed).fit(counts),
-        )
-    except ValueError:
-        pass
+    for train in (_train_invocation, _train_interarrival):
+        try:
+            train(counts, seed)
+        except ValueError:
+            pass
 
 
 @register_policy("smiless", kwargs={"train_counts": "train_counts"})
@@ -179,22 +183,12 @@ class SMIlessPolicy(Policy):
     def _train(self, counts: np.ndarray, seed: int) -> None:
         if self.invocation_predictor is None:
             try:
-                self.invocation_predictor = _cached_predictor(
-                    _train_key("invocation", counts, seed),
-                    lambda: InvocationPredictor(
-                        bucket_size=1, n_buckets=16, epochs=4, seed=seed
-                    ).fit(counts),
-                )
+                self.invocation_predictor = _train_invocation(counts, seed)
             except ValueError:
                 self.invocation_predictor = None
         if self.interarrival_predictor is None:
             try:
-                self.interarrival_predictor = _cached_predictor(
-                    _train_key("interarrival", counts, seed),
-                    lambda: InterArrivalPredictor(epochs=15, seed=seed).fit(
-                        counts
-                    ),
-                )
+                self.interarrival_predictor = _train_interarrival(counts, seed)
             except ValueError:
                 self.interarrival_predictor = None
 

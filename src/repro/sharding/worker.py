@@ -89,11 +89,13 @@ def _run_unit(task: ShardTask, unit: ShardUnit) -> UnitSnapshot:
     seed = derive_slice_seed(
         task.sim_seed, unit.app, unit.slice_index, unit.n_slices
     )
+    # Built before the clock starts, as in run_cell (training is offline).
+    policy = env.make_policy(task.policy)
     wall_start = time.perf_counter()
     sim = ServerlessSimulator(
         env.app,
         trace,
-        env.make_policy(task.policy),
+        policy,
         seed=seed,
         init_failure_rate=task.init_failure_rate,
         faults=task.faults,

@@ -32,6 +32,11 @@ class InstanceState(enum.Enum):
     BUSY = "busy"
     TERMINATED = "terminated"
 
+    def __init__(self, value: str) -> None:
+        #: Dense position in declaration order: list-backed per-state
+        #: counters index by it instead of hashing the member.
+        self.index = len(type(self)._member_names_)
+
 
 @dataclass
 class Instance:

@@ -173,14 +173,23 @@ class EventQueue:
         return self._heap[0][0] if self._heap else None
 
     # ------------------------------------------------------------------ run
-    def step(self) -> bool:
-        """Fire the earliest live event; returns False when none remain."""
+    def step(self, horizon: float = math.inf) -> bool:
+        """Fire the earliest live event if it is due by ``horizon``.
+
+        Returns False when no live event remains at or before ``horizon``.
+        Cancelled entries at the head are dropped on the way, whatever
+        their time.
+        """
         heap = self._heap
         while heap:
-            time, _, handle = heapq.heappop(heap)
-            if not handle.active:
+            time, _, handle = heap[0]
+            if handle._callback is None:
+                heapq.heappop(heap)
                 self._dead -= 1
                 continue
+            if time > horizon:
+                return False
+            heapq.heappop(heap)
             self._now = time
             self.processed += 1
             handle._fire()
@@ -189,11 +198,9 @@ class EventQueue:
 
     def run_until(self, horizon: float) -> None:
         """Fire events in order until the queue empties or passes ``horizon``."""
-        while True:
-            self._prune_head()
-            if not self._heap or self._heap[0][0] > horizon:
-                break
-            self.step()
+        step = self.step
+        while step(horizon):
+            pass
         self._now = max(self._now, horizon)
 
     def run(self, max_events: int = 50_000_000) -> None:

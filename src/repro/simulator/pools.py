@@ -16,18 +16,19 @@ of the original list-scan implementation bit-for-bit.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import Iterator
 
 from repro.hardware.configs import Backend, HardwareConfig
 from repro.simulator.container import Instance, InstanceState
 
-#: The three states in which an instance holds cluster resources.
-LIVE_STATES = (
-    InstanceState.INITIALIZING,
-    InstanceState.IDLE,
-    InstanceState.BUSY,
-)
+# Per-state counter slots (``InstanceState.index``).  Counters are updated
+# on every state transition, and Enum members hash in Python.  The states
+# holding cluster resources are INITIALIZING, IDLE and BUSY.
+_INIT = InstanceState.INITIALIZING.index
+_IDLE = InstanceState.IDLE.index
+_BUSY = InstanceState.BUSY.index
+_ZERO = (0,) * len(InstanceState)
+_GPU = Backend.GPU
 
 
 class InstancePool:
@@ -51,11 +52,12 @@ class InstancePool:
         # deleted lazily (validity == membership in ``_idle``).
         self._idle_heap: list[int] = []
         self._idle_cfg_heaps: dict[HardwareConfig, list[int]] = {}
-        self._state_counts: Counter[InstanceState] = Counter()
-        self._cfg_counts: dict[InstanceState, Counter[HardwareConfig]] = {
-            s: Counter() for s in LIVE_STATES
-        }
-        self._backend_live: Counter[Backend] = Counter()
+        # Per-state counts, indexed by ``InstanceState.index``: overall,
+        # and one row per configuration (one hash per update).
+        self._state_counts: list[int] = [0] * len(InstanceState)
+        self._cfg_counts: dict[HardwareConfig, list[int]] = {}
+        # Live instances per backend: ``[cpu, gpu]``.
+        self._backend_live: list[int] = [0, 0]
 
     # ------------------------------------------------------------ mutation
     def add(self, inst: Instance) -> None:
@@ -65,22 +67,33 @@ class InstancePool:
                 f"instance {inst.instance_id} added in state {inst.state.value}"
             )
         self._live[inst.instance_id] = inst
+        if inst.config not in self._cfg_counts:
+            self._cfg_counts[inst.config] = [0] * len(InstanceState)
         self._count(inst.state, inst, +1)
 
     def transition(self, inst: Instance, old_state: InstanceState) -> None:
-        """Re-index ``inst`` after its state changed from ``old_state``."""
+        """Re-index ``inst`` after its state changed from ``old_state``.
+
+        Both states are live (termination goes through :meth:`remove`), so
+        the per-backend live count does not change.
+        """
         new_state = inst.state
         if new_state is old_state:
             return
-        self._count(old_state, inst, -1)
-        self._count(new_state, inst, +1)
-        if old_state is InstanceState.IDLE:
+        config = inst.config
+        old, new = old_state.index, new_state.index
+        self._state_counts[old] -= 1
+        self._state_counts[new] += 1
+        row = self._cfg_counts[config]
+        row[old] -= 1
+        row[new] += 1
+        if old == _IDLE:
             self._idle.pop(inst.instance_id, None)
-        if new_state is InstanceState.IDLE:
+        elif new == _IDLE:
             self._idle[inst.instance_id] = inst
             heapq.heappush(self._idle_heap, inst.instance_id)
             heapq.heappush(
-                self._idle_cfg_heaps.setdefault(inst.config, []),
+                self._idle_cfg_heaps.setdefault(config, []),
                 inst.instance_id,
             )
 
@@ -92,9 +105,9 @@ class InstancePool:
             self._idle.pop(inst.instance_id, None)
 
     def _count(self, state: InstanceState, inst: Instance, delta: int) -> None:
-        self._state_counts[state] += delta
-        self._cfg_counts[state][inst.config] += delta
-        self._backend_live[inst.config.backend] += delta
+        self._state_counts[state.index] += delta
+        self._cfg_counts[inst.config][state.index] += delta
+        self._backend_live[inst.config.backend is _GPU] += delta
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -108,7 +121,8 @@ class InstancePool:
         """Instances holding resources, optionally of one configuration."""
         if config is None:
             return len(self._live)
-        return sum(self._cfg_counts[s][config] for s in LIVE_STATES)
+        row = self._cfg_counts.get(config, _ZERO)
+        return row[_INIT] + row[_IDLE] + row[_BUSY]
 
     def idle_count(self) -> int:
         """Warm instances currently idle."""
@@ -116,38 +130,26 @@ class InstancePool:
 
     def initializing_count(self) -> int:
         """Instances still warming up."""
-        return self._state_counts[InstanceState.INITIALIZING]
+        return self._state_counts[_INIT]
 
     def warm_count(self, config: HardwareConfig | None = None) -> int:
         """Instances past initialization (IDLE or BUSY)."""
         if config is None:
-            return (
-                self._state_counts[InstanceState.IDLE]
-                + self._state_counts[InstanceState.BUSY]
-            )
-        return (
-            self._cfg_counts[InstanceState.IDLE][config]
-            + self._cfg_counts[InstanceState.BUSY][config]
-        )
+            return self._state_counts[_IDLE] + self._state_counts[_BUSY]
+        row = self._cfg_counts.get(config, _ZERO)
+        return row[_IDLE] + row[_BUSY]
 
     def uncommitted_count(self, config: HardwareConfig | None = None) -> int:
         """Instances a warm-up request may count on (INITIALIZING or IDLE)."""
         if config is None:
-            return (
-                self._state_counts[InstanceState.INITIALIZING]
-                + self._state_counts[InstanceState.IDLE]
-            )
-        return (
-            self._cfg_counts[InstanceState.INITIALIZING][config]
-            + self._cfg_counts[InstanceState.IDLE][config]
-        )
+            return self._state_counts[_INIT] + self._state_counts[_IDLE]
+        row = self._cfg_counts.get(config, _ZERO)
+        return row[_INIT] + row[_IDLE]
 
     def backend_live_counts(self) -> tuple[int, int]:
         """``(cpu, gpu)`` live instance counts for the pod-sample metric."""
-        return (
-            self._backend_live[Backend.CPU],
-            self._backend_live[Backend.GPU],
-        )
+        cpu, gpu = self._backend_live
+        return cpu, gpu
 
     def pick_idle(self, preferred: HardwareConfig) -> Instance | None:
         """Lowest-id idle instance, preferring ``preferred``'s configuration.

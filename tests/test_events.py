@@ -65,6 +65,18 @@ class TestEventQueue:
         assert q.now == 5.0
         assert len(q) == 1
 
+    def test_step_stops_at_horizon_but_drops_dead_heads(self):
+        q = EventQueue()
+        fired = []
+        q.schedule(5.0, lambda: fired.append("dead")).cancel()
+        q.schedule(6.0, lambda: fired.append("live"))
+        assert q.heap_size == 2
+        assert q.step(4.0) is False
+        # The cancelled head went on the way; the live event stays.
+        assert fired == [] and q.heap_size == 1 and q.now == 0.0
+        assert q.step(6.0) is True
+        assert fired == ["live"] and q.now == 6.0
+
     def test_step_returns_false_when_empty(self):
         assert EventQueue().step() is False
 

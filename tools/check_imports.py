@@ -9,6 +9,11 @@ simulator) only bites when the "wrong" side is imported first — a plain
 test run that happens to import packages in a benign order never notices.
 This check exercises every entry point.
 
+It also checks that a cold ``import repro.cli`` loads none of
+``LAZY_PACKAGES``: heavy third-party packages that only some policies use
+(SciPy, for Aquatope's Bayesian optimizer) are imported where they are
+called, so every other run skips their import cost.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/check_imports.py
@@ -19,10 +24,15 @@ Exit status is non-zero if any module fails to import.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Top-level packages a cold ``import repro.cli`` must not load.
+LAZY_PACKAGES = ("scipy",)
 
 
 def discover_modules() -> list[str]:
@@ -47,8 +57,34 @@ def purge_repro() -> None:
         del sys.modules[name]
 
 
+def eager_lazy_packages() -> list[str]:
+    """The ``LAZY_PACKAGES`` a cold ``import repro.cli`` loads.
+
+    Runs in a fresh interpreter: this process keeps third-party modules
+    cached across the cold-import sweep.
+    """
+    code = (
+        "import sys, repro.cli; "
+        "print(' '.join({m.partition('.')[0] for m in sys.modules}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    return [name for name in LAZY_PACKAGES if name in loaded]
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
+    eager = eager_lazy_packages()
+    if eager:
+        print(f"a cold `import repro.cli` loads {', '.join(eager)}; import "
+              "it inside the functions that use it")
+        return 1
     failures: list[tuple[str, Exception]] = []
     modules = discover_modules()
     for name in modules:
