@@ -4,7 +4,8 @@ Subcommands wrap the :mod:`repro.experiments` runners:
 
 - ``compare``   — serve one application under several policies
 - ``sweep``     — SLA sweep under one policy
-- ``multiapp``  — co-run all three evaluation apps on one cluster
+- ``multiapp``  — co-run apps on one shared cluster (default: the paper's
+  three evaluation apps)
 - ``scenario``  — run a declarative JSON scenario spec (apps × policies ×
   SLAs × presets × seeds, optionally co-run) through the experiment grid;
   ``--preset llm|gpu-swap|overload`` runs a built-in validated scenario
@@ -86,15 +87,23 @@ def _load_overload(args):
     return OverloadSpec.from_json(args.overload)
 
 
-def _print_rows(rows) -> None:
+def _seconds(value: float, width: int) -> str:
+    """A latency cell: ``-`` when nothing completed (the latency is NaN)."""
+    text = "-" if math.isnan(value) else f"{value:.2f}s"
+    return f"{text:>{width}}"
+
+
+def _print_rows(rows, header: str = "policy") -> None:
+    """One line per ``(label, ComparisonRow)`` pair; ``header`` names the
+    label column."""
     print(
-        f"{'policy':<16} {'cost':>9} {'violations':>11} {'mean lat':>9} "
+        f"{header:<16} {'cost':>9} {'violations':>11} {'mean lat':>9} "
         f"{'p99 lat':>8} {'reinit':>7}"
     )
-    for r in rows:
+    for label, r in rows:
         print(
-            f"{r.policy:<16} ${r.total_cost:>8.4f} {r.violation_ratio:>10.1%} "
-            f"{r.mean_latency:>8.2f}s {r.p99_latency:>7.2f}s "
+            f"{label:<16} ${r.total_cost:>8.4f} {r.violation_ratio:>10.1%} "
+            f"{_seconds(r.mean_latency, 9)} {_seconds(r.p99_latency, 8)} "
             f"{r.reinit_fraction:>6.1%}"
         )
 
@@ -111,17 +120,16 @@ def cmd_compare(args) -> int:
         f"{args.app}: {len(env.trace)} invocations over "
         f"{env.trace.duration:.0f}s (preset {args.preset!r}, SLA {args.sla}s)\n"
     )
-    _print_rows(
-        run_comparison(
-            env,
-            tuple(args.policies),
-            workers=args.workers,
-            init_failure_rate=args.init_failure_rate,
-            faults=_load_faults(args),
-            overload=_load_overload(args),
-            retention=args.retention,
-        )
+    rows = run_comparison(
+        env,
+        tuple(args.policies),
+        workers=args.workers,
+        init_failure_rate=args.init_failure_rate,
+        faults=_load_faults(args),
+        overload=_load_overload(args),
+        retention=args.retention,
     )
+    _print_rows((r.policy, r) for r in rows)
     return 0
 
 
@@ -143,7 +151,7 @@ def cmd_sweep(args) -> int:
     ):
         print(
             f"{sla:>5.1f}s ${row.total_cost:>8.4f} "
-            f"{row.violation_ratio:>10.1%} {row.mean_latency:>8.2f}s"
+            f"{row.violation_ratio:>10.1%} {_seconds(row.mean_latency, 9)}"
         )
     return 0
 
@@ -156,7 +164,7 @@ def cmd_multiapp(args) -> int:
             duration=args.duration,
             seed=args.seed + i,
         )
-        for i, name in enumerate(APP_BUILDERS)
+        for i, name in enumerate(dict.fromkeys(args.apps))
     ]
     print(
         f"Co-running {len(envs)} applications on one shared cluster "
@@ -171,9 +179,7 @@ def cmd_multiapp(args) -> int:
         overload=_load_overload(args),
         retention=args.retention,
     )
-    _print_rows(
-        [row for _, row in sorted(results.items())]
-    )
+    _print_rows(sorted(results.items()), header="app")
     total = sum(r.total_cost for r in results.values())
     print(f"\ntotal cluster bill: ${total:.4f}")
     return 0
@@ -189,7 +195,7 @@ def _print_scenario_rows(rows) -> None:
         print(
             f"{s.app:<16} {s.preset:<8} {s.sla:>4.1f}s {s.policy:<16} "
             f"${r.total_cost:>8.4f} {r.violation_ratio:>10.1%} "
-            f"{r.mean_latency:>8.2f}s {r.p99_latency:>7.2f}s "
+            f"{_seconds(r.mean_latency, 9)} {_seconds(r.p99_latency, 8)} "
             f"{r.reinit_fraction:>6.1%}"
         )
 
@@ -750,6 +756,17 @@ def build_parser() -> argparse.ArgumentParser:
                 help="worker processes for the experiment grid (1 = serial)",
             )
 
+    def apps_arg(p):
+        p.add_argument(
+            "--apps",
+            nargs="+",
+            default=list(PAPER_APPS),
+            choices=sorted(APP_BUILDERS),
+            metavar="APP",
+            help="apps co-run on the shared cluster (default: the paper's "
+            f"three, {' '.join(PAPER_APPS)})",
+        )
+
     def retention_arg(p, default="full"):
         p.add_argument(
             "--retention",
@@ -805,8 +822,12 @@ def build_parser() -> argparse.ArgumentParser:
     retention_arg(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("multiapp", help="co-run the three evaluation apps")
+    p = sub.add_parser(
+        "multiapp", help="co-run apps on one shared cluster (default: the "
+        "paper's three evaluation apps)"
+    )
     p.add_argument("--policy", default="smiless", choices=POLICY_NAMES)
+    apps_arg(p)
     common(p, workers=True)
     chaos(p)
     retention_arg(p)
@@ -935,15 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1_000_000,
         help="target aggregate arrival count (sets the horizon)",
     )
-    p.add_argument(
-        "--apps",
-        nargs="+",
-        default=list(PAPER_APPS),
-        choices=sorted(APP_BUILDERS),
-        metavar="APP",
-        help="apps co-run on the shared cluster (default: the paper's "
-        f"three, {' '.join(PAPER_APPS)})",
-    )
+    apps_arg(p)
     p.add_argument("--preset", default="flood", choices=sorted(PRESETS))
     p.add_argument("--policy", default="grandslam", choices=POLICY_NAMES)
     p.add_argument("--sla", type=float, default=2.0)

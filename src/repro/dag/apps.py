@@ -174,9 +174,7 @@ def image_query_swap(sla: float = DEFAULT_SLA) -> AppDAG:
         dataclasses.replace(spec, profile=_swap_capable(spec.profile))
         for spec in base.specs
     ]
-    return AppDAG(
-        "image-query-swap", functions, tuple(base.graph.edges), sla=sla
-    )
+    return AppDAG("image-query-swap", functions, base.edges, sla=sla)
 
 
 def linear_pipeline(

@@ -1,18 +1,25 @@
 """DAG abstraction for ML serving applications.
 
 The Workflow Manager (paper §V-C2) operates on applications whose functions
-form a directed acyclic graph.  :class:`AppDAG` wraps a ``networkx.DiGraph``
-with the operations the optimizer needs: topological traversal, simple-path
-decomposition, parallel-substructure discovery, and critical-path latency
-evaluation under a per-function latency assignment.
+form a directed acyclic graph.  :class:`AppDAG` holds the graph as plain
+adjacency tuples built once at construction, with the operations the
+optimizer needs: topological traversal, simple-path decomposition,
+parallel-substructure discovery, and critical-path latency evaluation under
+a per-function latency assignment.
+
+The graph algorithms are small plain-Python ports that keep networkx's
+orders exactly: topological order is generation-by-generation Kahn over
+function-insertion order, simple paths come out in depth-first order over
+successor-insertion order, and the longest path breaks ties as
+``networkx.dag_longest_path`` does.  Duplicate edges collapse onto their
+first occurrence, as in a ``networkx.DiGraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from repro.hardware.perfmodel import PerfProfile
 
@@ -39,6 +46,30 @@ class FunctionSpec:
     def min_batch(self) -> int:
         """Minimum batch size — defines the Invocation Predictor bucket size."""
         return self.profile.min_batch
+
+
+def _topological_order(
+    succ: Mapping[str, tuple[str, ...]], pred: Mapping[str, tuple[str, ...]]
+) -> tuple[str, ...] | None:
+    """Kahn's algorithm, one generation at a time over insertion order.
+
+    Returns ``None`` when a cycle leaves some node with unresolved
+    predecessors.
+    """
+    indegree = {v: len(p) for v, p in pred.items() if p}
+    generation = [v for v, p in pred.items() if not p]
+    order: list[str] = []
+    while generation:
+        order.extend(generation)
+        ready: list[str] = []
+        for node in generation:
+            for child in succ[node]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    del indegree[child]
+                    ready.append(child)
+        generation = ready
+    return None if indegree else tuple(order)
 
 
 class AppDAG:
@@ -72,19 +103,26 @@ class AppDAG:
         if not self._functions:
             raise ValueError("application must contain at least one function")
 
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._functions)
+        succ: dict[str, list[str]] = {n: [] for n in self._functions}
+        pred: dict[str, list[str]] = {n: [] for n in self._functions}
         for u, v in edges:
             for endpoint in (u, v):
                 if endpoint not in self._functions:
                     raise ValueError(f"edge endpoint {endpoint!r} is not a function")
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            graph.add_edge(u, v)
-        if not nx.is_directed_acyclic_graph(graph):
+            if v not in succ[u]:
+                succ[u].append(v)
+                pred[v].append(u)
+        self._succ = {n: tuple(c) for n, c in succ.items()}
+        self._pred = {n: tuple(p) for n, p in pred.items()}
+        topo = _topological_order(self._succ, self._pred)
+        if topo is None:
             raise ValueError(f"application {name!r} contains a cycle")
-        self._graph = graph
-        self._topo = tuple(nx.topological_sort(graph))
+        self._topo = topo
+        self._sources = tuple(n for n in topo if not self._pred[n])
+        self._sinks = tuple(n for n in topo if not self._succ[n])
+        self._edges = tuple((u, v) for u, vs in self._succ.items() for v in vs)
 
     # -- basic structure ---------------------------------------------------
     def __len__(self) -> int:
@@ -97,9 +135,10 @@ class AppDAG:
         return iter(self._topo)
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """Read-only view of the underlying graph."""
-        return self._graph.copy(as_view=True)
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Every ``(upstream, downstream)`` edge, grouped by upstream function
+        in function-insertion order."""
+        return self._edges
 
     @property
     def function_names(self) -> tuple[str, ...]:
@@ -120,19 +159,19 @@ class AppDAG:
 
     def predecessors(self, name: str) -> tuple[str, ...]:
         """Direct upstream functions of ``name``."""
-        return tuple(self._graph.predecessors(name))
+        return self._pred[name]
 
     def successors(self, name: str) -> tuple[str, ...]:
         """Direct downstream functions of ``name``."""
-        return tuple(self._graph.successors(name))
+        return self._succ[name]
 
     def sources(self) -> tuple[str, ...]:
         """Entry functions (no predecessors), in topological order."""
-        return tuple(n for n in self._topo if self._graph.in_degree(n) == 0)
+        return self._sources
 
     def sinks(self) -> tuple[str, ...]:
         """Exit functions (no successors), in topological order."""
-        return tuple(n for n in self._topo if self._graph.out_degree(n) == 0)
+        return self._sinks
 
     def min_batch(self) -> int:
         """Smallest ``min_batch`` over all functions (predictor bucket size)."""
@@ -152,14 +191,47 @@ class AppDAG:
                 if s == t:
                     paths.append((s,))
                     continue
-                for path in nx.all_simple_paths(self._graph, s, t):
-                    paths.append(tuple(path))
+                paths.extend(self._paths_between(s, t))
         # A single isolated node is both source and sink; dedupe.
         return tuple(dict.fromkeys(paths))
 
     def longest_path(self) -> tuple[str, ...]:
-        """The longest source→sink path by function count."""
-        return tuple(nx.dag_longest_path(self._graph))
+        """The longest source→sink path by function count.
+
+        Ties go to the earliest predecessor (in insertion order) and then to
+        the topologically earliest endpoint, as in
+        ``networkx.dag_longest_path``.
+        """
+        # dist[v] = (edges on the longest path ending at v, predecessor on
+        # it); a source points at itself.
+        dist: dict[str, tuple[int, str]] = {}
+        for v in self._topo:
+            via = [(dist[u][0] + 1, u) for u in self._pred[v]]
+            dist[v] = max(via, key=itemgetter(0)) if via else (0, v)
+        v = max(dist, key=lambda n: dist[n][0])
+        path = [v]
+        while dist[v][1] != v:
+            v = dist[v][1]
+            path.append(v)
+        return tuple(reversed(path))
+
+    def _paths_between(self, source: str, target: str) -> list[tuple[str, ...]]:
+        """Every ``source``→``target`` path, depth-first over successors in
+        insertion order (the order ``networkx.all_simple_paths`` yields)."""
+        paths: list[tuple[str, ...]] = []
+        path = [source]
+
+        def extend(node: str) -> None:
+            for child in self._succ[node]:
+                path.append(child)
+                if child == target:
+                    paths.append(tuple(path))
+                else:
+                    extend(child)
+                path.pop()
+
+        extend(source)
+        return paths
 
     def longest_path_length(self) -> int:
         """Function count of the longest path (drives search complexity)."""
@@ -169,7 +241,7 @@ class AppDAG:
         """Length of the longest chain of predecessors feeding ``name``."""
         depths: dict[str, int] = {}
         for node in self._topo:
-            preds = self.predecessors(node)
+            preds = self._pred[node]
             depths[node] = 0 if not preds else 1 + max(depths[p] for p in preds)
         return depths[name]
 
@@ -218,16 +290,12 @@ class AppDAG:
         """
         pairs: list[tuple[str, str, int]] = []
         for node in self._topo:
-            if self._graph.out_degree(node) <= 1:
+            if len(self._succ[node]) <= 1:
                 continue
             join = self._nearest_join(node)
             if join is None:
                 continue
-            span = sum(
-                1
-                for p in nx.all_simple_paths(self._graph, node, join)
-                for _ in p
-            )
+            span = sum(len(p) for p in self._paths_between(node, join))
             pairs.append((node, join, span))
         pairs.sort(key=lambda t: t[2])
         return tuple((s, e) for s, e, _ in pairs)
@@ -235,9 +303,14 @@ class AppDAG:
     def _nearest_join(self, fork: str) -> str | None:
         """Nearest descendant reachable from *every* branch of ``fork``."""
         branch_reach: list[set[str]] = []
-        for child in self._graph.successors(fork):
-            reach = set(nx.descendants(self._graph, child))
-            reach.add(child)
+        for child in self._succ[fork]:
+            reach = {child}
+            stack = [child]
+            while stack:
+                for nxt in self._succ[stack.pop()]:
+                    if nxt not in reach:
+                        reach.add(nxt)
+                        stack.append(nxt)
             branch_reach.append(reach)
         common = set.intersection(*branch_reach)
         if not common:
@@ -257,7 +330,7 @@ class AppDAG:
         return AppDAG(
             self.name,
             self.specs,
-            tuple(self._graph.edges),
+            self._edges,
             sla=sla,
             work_model=self.work_model,
         )
@@ -265,5 +338,5 @@ class AppDAG:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"AppDAG({self.name!r}, functions={len(self)}, "
-            f"edges={self._graph.number_of_edges()}, sla={self.sla})"
+            f"edges={len(self._edges)}, sla={self.sla})"
         )

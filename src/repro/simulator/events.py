@@ -67,13 +67,6 @@ class TimerHandle:
             queue._note_cancel()
         return True
 
-    def _fire(self) -> None:
-        callback = self._callback
-        self._callback = None
-        self._queue = None
-        assert callback is not None
-        callback()
-
 
 class EventQueue:
     """Time-ordered callback queue with deterministic tie-breaking."""
@@ -81,15 +74,12 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, TimerHandle]] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulation time (seconds).  A plain attribute: handlers
+        #: read it on every event.  Only the queue itself advances it.
+        self.now = 0.0
         self._dead = 0
         self.processed = 0  # events fired over the queue's lifetime
         self.compactions = 0  # dead-entry sweeps (introspection for tests)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (seconds)."""
-        return self._now
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) pending events."""
@@ -119,7 +109,7 @@ class EventQueue:
         if seq is None:
             seq = self._seq
             self._seq += 1
-        handle = TimerHandle(max(time, self._now), seq, callback, self)
+        handle = TimerHandle(max(time, self.now), seq, callback, self)
         heapq.heappush(self._heap, (handle.time, handle.seq, handle))
         return handle
 
@@ -127,7 +117,7 @@ class EventQueue:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self._now + delay, callback)
+        return self.schedule(self.now + delay, callback)
 
     def reserve(self, n: int) -> int:
         """Reserve ``n`` consecutive sequence numbers; returns the first.
@@ -183,16 +173,19 @@ class EventQueue:
         heap = self._heap
         while heap:
             time, _, handle = heap[0]
-            if handle._callback is None:
+            callback = handle._callback
+            if callback is None:
                 heapq.heappop(heap)
                 self._dead -= 1
                 continue
             if time > horizon:
                 return False
             heapq.heappop(heap)
-            self._now = time
+            self.now = time
             self.processed += 1
-            handle._fire()
+            handle._callback = None
+            handle._queue = None
+            callback()
             return True
         return False
 
@@ -201,7 +194,7 @@ class EventQueue:
         step = self.step
         while step(horizon):
             pass
-        self._now = max(self._now, horizon)
+        self.now = max(self.now, horizon)
 
     def run(self, max_events: int = 50_000_000) -> None:
         """Drain the queue completely (bounded as a runaway backstop)."""

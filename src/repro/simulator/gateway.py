@@ -650,6 +650,7 @@ class Gateway:
 
     def _execute(self, inst: Instance, items: list[Invocation]) -> None:
         now = self.events.now
+        fn = inst.function
         batch_n = len(items)
         work: WorkUnit | None = None
         if self._work_model is not None:
@@ -658,7 +659,7 @@ class Gateway:
                 # Padded-batch semantics: the batch runs at its longest
                 # member's token counts.
                 work = WorkUnit.combine(drawn)
-        exec_time = self.oracles[inst.function].inference_time(
+        exec_time = self.oracles[fn].inference_time(
             inst.config, batch_n, work=work
         )
         if self.gpu_contention > 0.0 and inst.config.backend is Backend.GPU:
@@ -672,32 +673,34 @@ class Gateway:
         fail_at: float | None = None
         if self._faults is not None:
             factor = self._faults.straggler_factor(
-                inst.function, inst.config.backend.value, now
+                fn, inst.config.backend.value, now
             )
             if factor != 1.0:
                 exec_time *= factor
-            rate = self._faults.execution_fault_rate(inst.function, now)
+            rate = self._faults.execution_fault_rate(fn, now)
             if rate > 0.0 and self._fault_rng.random() < rate:
                 # The batch dies part-way through execution; the fraction
                 # completed before the crash is uniform, so the instance is
                 # billed for real (wasted) work before the retry path runs.
                 fail_at = exec_time * float(self._fault_rng.random())
         inst.mark_busy(now, batch_n)
-        self.pools[inst.function].transition(inst, InstanceState.IDLE)
+        self.pools[fn].transition(inst, InstanceState.IDLE)
         if inst.expiry_timer is not None:
             inst.expiry_timer.cancel()
             inst.expiry_timer = None
-        self.pending_stage_demand[inst.function] -= batch_n
+        self.pending_stage_demand[fn] -= batch_n
+        warm_at = inst.warm_at
+        cold = 0
         for inv in items:
-            rec = inv.stage(inst.function)
+            rec = inv.stage(fn)
             rec.started_at = now
             rec.instance_id = inst.instance_id
             rec.batch = batch_n
-            rec.cold_start = inst.warm_at > (rec.ready_at or 0.0)
+            rec.cold_start = warm_at > (rec.ready_at or 0.0)
+            if rec.cold_start:
+                cold += 1
         self.metrics.stage_executions += batch_n
-        self.metrics.cold_stage_executions += sum(
-            1 for inv in items if inv.stage(inst.function).cold_start
-        )
+        self.metrics.cold_stage_executions += cold
         if self._rec is not None:
             # Prefill/decode attribution of the sampled wall-clock time:
             # split pro rata by the service model's phase expectations, so
@@ -705,7 +708,7 @@ class Gateway:
             # overhead apportioned proportionally).
             token_split: tuple[float, float] | None = None
             if work is not None:
-                model = self.oracles[inst.function].profile.service_model
+                model = self.oracles[fn].profile.service_model
                 if model is not None and hasattr(model, "split"):
                     pre, dec = model.split(inst.config, batch_n, work)
                     if pre + dec > 0.0:
@@ -716,19 +719,19 @@ class Gateway:
                     PrewarmHit(
                         t=now,
                         app=self.app.name,
-                        function=inst.function,
+                        function=fn,
                         instance_id=inst.instance_id,
                         idle_wait=now - inst.warm_at,
                     )
                 )
             for inv in items:
-                rec = inv.stage(inst.function)
+                rec = inv.stage(fn)
                 self._rec.emit(
                     StageStart(
                         t=now,
                         app=self.app.name,
                         invocation_id=inv.invocation_id,
-                        function=inst.function,
+                        function=fn,
                         instance_id=inst.instance_id,
                         batch=batch_n,
                         cold=rec.cold_start,
@@ -740,7 +743,7 @@ class Gateway:
                             t=now,
                             app=self.app.name,
                             invocation_id=inv.invocation_id,
-                            function=inst.function,
+                            function=fn,
                             instance_id=inst.instance_id,
                             wait=now - (rec.ready_at or 0.0),
                         )
@@ -751,7 +754,7 @@ class Gateway:
                             t=now,
                             app=self.app.name,
                             invocation_id=inv.invocation_id,
-                            function=inst.function,
+                            function=fn,
                             tokens_in=inv.work.tokens_in,
                             tokens_out=inv.work.tokens_out,
                             prefill=token_split[0],
@@ -785,6 +788,7 @@ class Gateway:
         inst.mark_idle(now, exec_time)
         fn = inst.function
         self.pools[fn].transition(inst, InstanceState.BUSY)
+        succs = self.app.successors(fn)
         for inv in items:
             if inv.abandoned_at is not None:
                 # Abandoned mid-flight (deadline fired while executing):
@@ -803,11 +807,11 @@ class Gateway:
                     )
                 )
             self.policy.on_stage_complete(inv, fn, self.ctx)
-            for succ in self.app.successors(fn):
-                preds = self.app.predecessors(succ)
-                if all(
-                    inv.stage(p).finished_at is not None for p in preds
-                ):
+            for succ in succs:
+                for p in self.app.predecessors(succ):
+                    if inv.stage(p).finished_at is None:
+                        break
+                else:
                     self._stage_ready(inv, succ)
             if inv.remaining == 0:  # type: ignore[attr-defined]
                 inv.completed_at = now

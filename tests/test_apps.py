@@ -73,7 +73,7 @@ class TestSyntheticBuilders:
     def test_random_dag_deterministic(self):
         a, b = random_dag(8, rng=42), random_dag(8, rng=42)
         assert a.function_names == b.function_names
-        assert set(a.graph.edges) == set(b.graph.edges)
+        assert set(a.edges) == set(b.edges)
 
     def test_random_dag_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -83,4 +83,6 @@ class TestSyntheticBuilders:
         import networkx as nx
 
         app = random_dag(10, rng=1, edge_prob=0.05)
-        assert nx.is_weakly_connected(app.graph)
+        graph = nx.DiGraph(app.edges)
+        graph.add_nodes_from(app.function_names)
+        assert nx.is_weakly_connected(graph)

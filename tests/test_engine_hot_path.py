@@ -1,12 +1,21 @@
 """Engine-level tests for the hot-path behaviors: pending-launch retries
-across functions and event-heap boundedness on long traces."""
+across functions, event-heap boundedness on long traces, and a pinned
+count of the engine's work on a fixed co-run."""
 
 import numpy as np
 
 from repro.dag import linear_pipeline
+from repro.experiments import build_environment
+from repro.experiments.runners import PAPER_APPS
 from repro.hardware import HardwareConfig
 from repro.policies import AlwaysOnPolicy
-from repro.simulator import Cluster, ServerlessSimulator
+from repro.simulator import (
+    Cluster,
+    Deployment,
+    MultiAppSimulator,
+    ServerlessSimulator,
+)
+from repro.simulator.events import EventQueue
 from repro.workload import Trace
 
 
@@ -88,3 +97,38 @@ class TestHeapBoundedness:
         # bound covers live instances' events plus the two stream heads.
         assert max_heap < 500
         assert sim.events.processed >= 20_000
+
+
+class TestWorkSignal:
+    """Events fired and events scheduled on a fixed co-run, pinned exactly.
+
+    Wall-clock gates sit on host noise; these counts do not move with the
+    host, so a change that adds heap traffic per invocation fails here on
+    any machine.  A change that means to alter them must say why.
+    """
+
+    def test_flood_corun_event_counts(self, monkeypatch):
+        scheduled = 0
+        schedule = EventQueue.schedule
+
+        def counting(self, *args, **kwargs):
+            nonlocal scheduled
+            scheduled += 1
+            return schedule(self, *args, **kwargs)
+
+        monkeypatch.setattr(EventQueue, "schedule", counting)
+        envs = [
+            build_environment(
+                app, preset="flood", duration=60.0, train_duration=300.0, seed=i
+            )
+            for i, app in enumerate(PAPER_APPS)
+        ]
+        sim = MultiAppSimulator(
+            [Deployment(e.app, e.trace, e.make_policy("grandslam")) for e in envs],
+            seed=0,
+            retention="sketch",
+        )
+        sim.run()
+        assert sum(len(e.trace) for e in envs) == 1164
+        assert sim.events.processed == 8038
+        assert scheduled == 8059

@@ -46,7 +46,7 @@ class TestAppDagExtras:
         app = linear_pipeline(3)
         copy = app.with_sla(9.0)
         assert copy.function_names == app.function_names
-        assert set(copy.graph.edges) == set(app.graph.edges)
+        assert set(copy.edges) == set(app.edges)
         assert copy.sla == 9.0
 
     def test_min_batch_over_functions(self):

@@ -1,5 +1,7 @@
 """Tests for the experiment runners and the CLI layer."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -9,7 +11,7 @@ from repro.experiments import (
     run_multi_app,
     run_sla_sweep,
 )
-from repro.experiments.runners import POLICY_NAMES, ComparisonRow
+from repro.experiments.runners import PAPER_APPS, POLICY_NAMES, ComparisonRow
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +109,83 @@ class TestCli:
         out = capsys.readouterr().out
         assert "grandslam" in out
         assert "$" in out
+
+
+def _table(out: str, header: str) -> list[list[str]]:
+    """The whitespace-split rows of the table whose header starts ``header``."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 1 :]:
+        if not line.strip():
+            break
+        rows.append(line.split())
+    return rows
+
+
+class TestMultiappCli:
+    def test_rows_are_labelled_by_app_and_default_to_paper_apps(self, capsys):
+        code = main(["multiapp", "--policy", "grandslam", "--duration", "60"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Co-running 3 applications" in out
+        assert [row[0] for row in _table(out, "app ")] == sorted(PAPER_APPS)
+
+    def test_apps_override(self, capsys):
+        code = main(
+            [
+                "multiapp",
+                "--policy",
+                "grandslam",
+                "--duration",
+                "30",
+                "--apps",
+                "llm-chat",
+                "image-query",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Co-running 2 applications" in out
+        assert [row[0] for row in _table(out, "app ")] == [
+            "image-query",
+            "llm-chat",
+        ]
+
+    def test_default_apps_in_paper_order(self):
+        args = build_parser().parse_args(["multiapp"])
+        assert tuple(args.apps) == PAPER_APPS
+
+
+class TestEmptyLatencyCells:
+    """A run with no completed invocation prints ``-``, never ``nan``."""
+
+    def test_compare_rows(self, capsys):
+        code = main(
+            ["compare", "image-query", "--duration", "1", "--policies", "grandslam"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        (row,) = _table(out, "policy ")
+        assert row[0] == "grandslam"
+        assert row[4:6] == ["-", "-"]
+
+    def test_scenario_rows(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "apps": ["image-query"],
+                    "policies": ["grandslam"],
+                    "duration": 1.0,
+                    "train_duration": 300.0,
+                }
+            )
+        )
+        assert main(["scenario", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        (row,) = _table(out, "app ")
+        assert row[0] == "image-query"
+        assert row[-3:-1] == ["-", "-"]

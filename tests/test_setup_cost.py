@@ -6,6 +6,8 @@
   reproduces its golden summary.
 - SciPy is imported only by the Bayesian optimizer (``aquatope``), so a
   cold import of the CLI or the experiment runners never loads it.
+- networkx is a test-only oracle: no module under ``src/`` imports it, so
+  a co-run never loads it.
 - ``HardwareConfig`` caches its hash; pickling must rebuild it, because
   ``Backend`` hashes its name and string hashes differ per process.
 """
@@ -105,6 +107,27 @@ def test_cold_import_of_cli_and_runners_skips_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("policy", ["grandslam", "smiless"])
+def test_corun_never_imports_networkx(policy):
+    proc = _python(
+        f"""
+        import sys
+        from repro.experiments import build_environment, run_multi_app
+        from repro.experiments.runners import PAPER_APPS
+
+        envs = [
+            build_environment(app, duration=30.0, train_duration=300.0, seed=i)
+            for i, app in enumerate(PAPER_APPS)
+        ]
+        rows = run_multi_app(envs, {policy!r})
+        assert set(rows) == set(PAPER_APPS), rows
+        print("networkx" in sys.modules)
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ config hash

@@ -10,9 +10,10 @@ test run that happens to import packages in a benign order never notices.
 This check exercises every entry point.
 
 It also checks that a cold ``import repro.cli`` loads none of
-``LAZY_PACKAGES``: heavy third-party packages that only some policies use
-(SciPy, for Aquatope's Bayesian optimizer) are imported where they are
-called, so every other run skips their import cost.
+``LAZY_PACKAGES``: heavy third-party packages a run does not need.  SciPy
+is imported only inside Aquatope's Bayesian optimizer, so every other run
+skips its import cost; networkx is a test-only oracle that ``src/`` never
+imports.
 
 Run from the repository root::
 
@@ -32,7 +33,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Top-level packages a cold ``import repro.cli`` must not load.
-LAZY_PACKAGES = ("scipy",)
+LAZY_PACKAGES = ("scipy", "networkx")
 
 
 def discover_modules() -> list[str]:
