@@ -274,8 +274,14 @@ class SimDriver:
         return self.runtime.events.now
 
     def pending_work(self) -> bool:
-        """Whether unfired injections or open invocations remain."""
-        return self._unfired > 0 or self.runtime.open_invocations > 0
+        """Whether unfired injections or open invocations remain.
+
+        Every open invocation is a registered ticket awaiting its terminal
+        disposition (live cells run no fault plan, so nothing else opens
+        one), so the driver's own counters answer without visiting the
+        gateways.
+        """
+        return self._unfired > 0 or len(self._pending) > 0
 
     def actionable_work(self) -> bool:
         """Pending work the serve phase can still advance.
@@ -287,7 +293,7 @@ class SimDriver:
         """
         if self._unfired > 0:
             return True
-        if self.runtime.open_invocations == 0:
+        if not self._pending:
             return False
         when = self.runtime.events.next_time()
         return when is not None and when <= self.horizon
@@ -362,13 +368,14 @@ class SimDriver:
         ticks burn and the next stamp hugs the last completion.  Events
         past the horizon are left for :meth:`finish`.
         """
-        events = self.runtime.events
+        step = self.runtime.events.step
+        horizon = self.horizon
         steps = 0
-        while steps < max_steps and self.pending_work():
-            when = events.next_time()
-            if when is None or when > self.horizon:
-                break
-            events.step()
+        while (
+            steps < max_steps
+            and (self._unfired or self._pending)
+            and step(horizon)
+        ):
             steps += 1
         return steps
 

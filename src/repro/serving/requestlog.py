@@ -51,9 +51,12 @@ class RequestLogWriter:
         self._fh: IO[str] | None = self.path.open("w", encoding="utf-8")
 
     def _write(self, record: dict[str, Any]) -> None:
+        self._write_line(json.dumps(record, sort_keys=True))
+
+    def _write_line(self, line: str) -> None:
         if self._fh is None:
             raise ValueError(f"request log {self.path} is already closed")
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.write(line + "\n")
 
     def header(self, payload: dict[str, Any]) -> None:
         """Write the session-recipe header (must be the first record)."""
@@ -64,9 +67,15 @@ class RequestLogWriter:
         """Record one front-door request (accepted *or* later rejected)."""
         self._write({"kind": "request", **payload})
 
-    def response(self, payload: dict[str, Any]) -> None:
-        """Record one resolved request (terminal status + audit fields)."""
-        self._write({"kind": "response", **payload})
+    def response(self, body: str) -> None:
+        """Record one resolved request from its JSON-encoded HTTP body.
+
+        ``body`` is a non-empty JSON object's text (terminal status +
+        audit fields), written as is behind a leading ``"kind":
+        "response"`` member, so the response is encoded once for both the
+        wire and the log.
+        """
+        self._write_line('{"kind": "response", ' + body[1:])
 
     def summary(self, payload: dict[str, Any]) -> None:
         """Write the final per-app metrics footer and flush."""

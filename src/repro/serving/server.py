@@ -48,6 +48,10 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
+#: ``(status, payload, extra headers)``; the payload is a dict or, for a
+#: resolved ticket, its already-encoded JSON text.
+_Reply = tuple[int, "dict[str, Any] | str", dict[str, str]]
+
 #: HTTP status for each terminal ticket disposition.
 _STATUS_CODES = {
     "completed": 200,
@@ -181,7 +185,10 @@ class LiveServer:
         return False
 
     async def _pump(self) -> None:
-        driver = self.driver
+        # A parked time-warp clock moves only on a request or a stop, so an
+        # idle pump waits with no timeout (no timer task per wait); the
+        # wall-clock mapping moves on its own, so that pump polls.
+        poll = None if self.pacer.time_scale is None else self._idle_poll
         try:
             while True:
                 progressed = False
@@ -197,9 +204,7 @@ class LiveServer:
                 else:
                     self._wake.clear()
                     try:
-                        await asyncio.wait_for(
-                            self._wake.wait(), timeout=self._idle_poll
-                        )
+                        await asyncio.wait_for(self._wake.wait(), timeout=poll)
                     except asyncio.TimeoutError:
                         pass
         finally:
@@ -239,10 +244,12 @@ class LiveServer:
             retry_wall = retry_sim / scale if scale else retry_sim
             payload["retry_after"] = retry_wall
             headers["Retry-After"] = str(max(0, math.ceil(retry_wall)))
+        # Encoded once: the same text is the HTTP body and the log record.
+        body = json.dumps(payload)
         if self.log is not None:
-            self.log.response(payload)
+            self.log.response(body)
         if not future.done():
-            future.set_result((status_code, payload, headers))
+            future.set_result((status_code, body, headers))
 
     def _ticket_payload(self, ticket: Ticket) -> dict[str, Any]:
         """Request-level audit fields shared by responses and the log."""
@@ -301,7 +308,7 @@ class LiveServer:
     # ------------------------------------------------------------- dispatch
     async def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    ) -> _Reply:
         if path.startswith("/invoke/"):
             if method != "POST":
                 return 405, {"error": "POST required"}, {}
@@ -328,7 +335,7 @@ class LiveServer:
 
     async def _invoke(
         self, app: str, body: bytes
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    ) -> _Reply:
         if app not in self.driver.gateways:
             return 404, {
                 "error": f"unknown application {app!r}",
@@ -382,7 +389,15 @@ class LiveServer:
                         break
                     key, _, value = line.decode("latin-1").partition(":")
                     headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                try:
+                    length = int(headers.get("content-length", "0") or "0")
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    await self._respond(
+                        writer, 400, {"error": "invalid Content-Length"}, {}
+                    )
+                    break
                 body = await reader.readexactly(length) if length else b""
                 try:
                     status, payload, extra = await self._dispatch(
@@ -413,10 +428,13 @@ class LiveServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict[str, Any],
+        payload: dict[str, Any] | str,
         extra: dict[str, str],
     ) -> None:
-        data = json.dumps(payload).encode()
+        """Write one response; ``payload`` is a dict or its JSON text."""
+        if not isinstance(payload, str):
+            payload = json.dumps(payload)
+        data = payload.encode()
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: application/json\r\n"

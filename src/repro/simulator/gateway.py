@@ -1540,11 +1540,13 @@ class Gateway:
                     self._terminate(inst, reason="scale-in")
             # Retire stale-config idle instances once the directive's own
             # configuration has *warm* coverage — retiring against merely
-            # initializing replacements opens a cold window.
+            # initializing replacements opens a cold window.  Most ticks find
+            # no idle instance of another configuration; skip the scan then.
             if pool.warm_count(cfg) >= max(directive.min_warm, 1):
-                for inst in pool.idle_sorted():
-                    if inst.config != cfg:
-                        self._terminate(inst, reason="stale-config")
+                if pool.idle_count() > pool.idle_count(cfg):
+                    for inst in pool.idle_sorted():
+                        if inst.config != cfg:
+                            self._terminate(inst, reason="stale-config")
             elif not math.isinf(directive.keep_alive):
                 # Sweep idle instances whose expiry timer was armed under a
                 # previous (longer or infinite) keep-alive directive.

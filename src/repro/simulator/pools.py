@@ -124,9 +124,11 @@ class InstancePool:
         row = self._cfg_counts.get(config, _ZERO)
         return row[_INIT] + row[_IDLE] + row[_BUSY]
 
-    def idle_count(self) -> int:
-        """Warm instances currently idle."""
-        return len(self._idle)
+    def idle_count(self, config: HardwareConfig | None = None) -> int:
+        """Warm instances currently idle, optionally of one configuration."""
+        if config is None:
+            return len(self._idle)
+        return self._cfg_counts.get(config, _ZERO)[_IDLE]
 
     def initializing_count(self) -> int:
         """Instances still warming up."""

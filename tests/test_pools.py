@@ -130,3 +130,51 @@ class TestPickOrder:
     def test_iteration_in_launch_order(self):
         pool, fleet = self.make_idle_fleet([CPU2, CPU4])
         assert list(pool) == fleet
+
+
+class TestIdleCountByConfig:
+    def recount(self, pool, config):
+        return sum(
+            1
+            for inst in pool
+            if inst.state is InstanceState.IDLE and inst.config == config
+        )
+
+    def test_matches_a_recount_through_the_lifecycle(self):
+        pool = InstancePool()
+        cluster = Cluster.build(n_machines=2)
+        fleet = [make_instance(cfg, cluster) for cfg in (CPU2, CPU4, CPU2, GPU)]
+
+        def check():
+            for cfg in (CPU2, CPU4, GPU):
+                assert pool.idle_count(cfg) == self.recount(pool, cfg)
+            assert pool.idle_count() == sum(
+                pool.idle_count(cfg) for cfg in (CPU2, CPU4, GPU)
+            )
+
+        check()  # no instance of any configuration yet
+        for inst in fleet:
+            pool.add(inst)
+            check()
+        for inst in fleet:
+            warm(inst)
+            pool.transition(inst, InstanceState.INITIALIZING)
+            check()
+        assert pool.idle_count(CPU2) == 2
+
+        fleet[0].mark_busy(2.0, batch=1)
+        pool.transition(fleet[0], InstanceState.IDLE)
+        check()
+        assert pool.idle_count(CPU2) == 1
+
+        fleet[0].mark_idle(3.0, busy_time=1.0)
+        pool.transition(fleet[0], InstanceState.BUSY)
+        check()
+
+        for inst in fleet[1:3]:
+            prev = inst.state
+            inst.mark_terminated(4.0)
+            pool.remove(inst, prev)
+            check()
+        assert pool.idle_count(CPU2) == 1
+        assert pool.idle_count(CPU4) == 0

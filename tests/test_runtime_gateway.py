@@ -1,5 +1,8 @@
 """Tests for the Runtime/Gateway split behind the simulator facades."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.dag import linear_pipeline
@@ -9,6 +12,7 @@ from repro.simulator import (
     Cluster,
     Deployment,
     Gateway,
+    InstancePool,
     MultiAppSimulator,
     Runtime,
     ServerlessSimulator,
@@ -195,3 +199,80 @@ class TestCrossAppBackPressure:
         # the always-on hog pins all 16 cores; the victim's cold start
         # queues behind capacity that never frees in its window
         assert victim.unfinished == 1 or victim.latencies().max() > 10.0
+
+
+class TestWindowTickMinWarm:
+    """The per-window min-warm pass on always-on fleets."""
+
+    def test_no_stale_instance_means_no_idle_scan(self, monkeypatch):
+        scans = []
+        idle_sorted = InstancePool.idle_sorted
+
+        def counting(self, config=None):
+            scans.append(config)
+            return idle_sorted(self, config)
+
+        monkeypatch.setattr(InstancePool, "idle_sorted", counting)
+        rt = Runtime()
+        rt.add_app(
+            named_app("a", ("IR",)),
+            Trace([5.0, 20.0, 40.0], duration=60.0),
+            AlwaysOnPolicy(config=HardwareConfig.cpu(4)),
+        )
+        metrics = rt.run()["a"]
+        assert metrics.n_completed == 3
+        # Every window ticked with the one warm instance in place, so the
+        # retirement branch ran each time and found nothing to retire.
+        assert len(metrics.pod_samples) == 60
+        assert scans == []
+
+    def test_stale_config_instance_retired_once_new_config_is_warm(
+        self, monkeypatch
+    ):
+        old, new = HardwareConfig.cpu(4), HardwareConfig.cpu(2)
+
+        class Switching(AlwaysOnPolicy):
+            def on_window(self, t, ctx):
+                if t == 10.0:
+                    for fn in ctx.app.function_names:
+                        ctx.set_directive(
+                            fn,
+                            dataclasses.replace(ctx.directive(fn), config=new),
+                        )
+
+        terminated = []
+        terminate = Gateway._terminate
+
+        def recording(self, inst, *, reason="shutdown"):
+            if inst.is_live:
+                terminated.append((self.events.now, inst.config, reason))
+            return terminate(self, inst, reason=reason)
+
+        monkeypatch.setattr(Gateway, "_terminate", recording)
+        rt = Runtime()
+        gw = rt.add_app(
+            named_app("a", ("IR",)),
+            Trace([5.0, 30.0], duration=60.0),
+            Switching(config=old),
+        )
+        replacements = []
+        launch = gw._launch
+
+        def launching(fn, cfg, **kwargs):
+            inst = launch(fn, cfg, **kwargs)
+            if cfg == new:
+                replacements.append(inst)
+            return inst
+
+        gw._launch = launching
+        metrics = rt.run()["a"]
+        assert metrics.n_completed == 2
+        stale = [t for t in terminated if t[2] == "stale-config"]
+        assert len(stale) == 1
+        when, config, _ = stale[0]
+        assert config == old
+        # Retired at the first window tick after the replacement warmed
+        # (a tick sorts before a warm-up landing at the same instant).
+        (replacement,) = replacements
+        assert when == math.floor(replacement.warm_at) + 1
+        assert when > 10.0

@@ -22,9 +22,11 @@ from repro.experiments.parallel import (
     MultiAppCellSpec,
     _environment,
 )
+from repro.experiments.runners import PAPER_APPS
 from repro.overload.spec import OverloadSpec, TokenBucket
 from repro.serving import HorizonPassed, SimDriver
 from repro.serving.driver import TERMINAL_STATUSES
+from repro.simulator.events import EventQueue
 from repro.simulator.multiapp import Deployment, MultiAppSimulator
 from repro.workload.trace import Trace
 
@@ -308,3 +310,60 @@ class TestDriverReplayParity:
             assert live[app].rejected == replayed[app].rejected
             assert live[app].n_completed == replayed[app].n_completed
             assert live[app].unfinished == replayed[app].unfinished
+
+
+class TestServeWorkSignal:
+    """A seeded closed-loop session's event work, pinned exactly.
+
+    One request at a time, each stepped to completion, as the time-warp
+    pump does under one keep-alive connection.  The counts do not move
+    with the host; a change that alters them must say why.
+    """
+
+    def test_closed_loop_session_counts(self, monkeypatch):
+        scheduled = 0
+        schedule = EventQueue.schedule
+
+        def counting(self, *args, **kwargs):
+            nonlocal scheduled
+            scheduled += 1
+            return schedule(self, *args, **kwargs)
+
+        monkeypatch.setattr(EventQueue, "schedule", counting)
+        horizon = 600.0
+        envs = tuple(
+            EnvSpec(
+                app=app,
+                preset="steady",
+                sla=2.0,
+                duration=horizon,
+                train_duration=400.0,
+                seed=0,
+            )
+            for app in PAPER_APPS
+        )
+        driver = SimDriver(
+            MultiAppCellSpec(envs=envs, policy="grandslam", sim_seed=3),
+            horizon=horizon,
+        )
+        driver.start()
+        rng = random.Random(5)
+        for _ in range(300):
+            ticket = driver.submit(rng.choice(PAPER_APPS))
+            driver.advance_while_busy(max_steps=100_000)
+            assert ticket.status == "completed"
+            assert not driver.pending_work()
+        served = driver.runtime.events.processed
+        driver.finish()
+        completed = {
+            app: counts["completed"]
+            for app, counts in driver.status_counts.items()
+        }
+        assert served == 2869
+        assert driver.runtime.events.processed == 3613
+        assert scheduled == 3613
+        assert completed == {
+            "amber-alert": 93,
+            "image-query": 110,
+            "voice-assistant": 97,
+        }

@@ -19,6 +19,7 @@ from repro.serving import (
     RequestLogWriter,
     SimDriver,
     TimeWarpPacer,
+    WallClockPacer,
     read_request_log,
     replay_request_log,
     verify_replay,
@@ -227,6 +228,131 @@ class TestEndpoints:
             await server.run()
 
         asyncio.run(scenario())
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("length", [b"abc", b"-3"])
+    def test_answers_400_and_closes(self, length):
+        async def scenario():
+            driver = make_driver(("image-query",))
+            server = LiveServer(driver, TimeWarpPacer())
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(
+                b"POST /invoke/image-query HTTP/1.1\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+            )
+            await writer.drain()
+            # The server closes after answering, so reading to EOF ends.
+            raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            await writer.wait_closed()
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"400"
+            assert b"Content-Type: application/json" in head
+            assert json.loads(body) == {"error": "invalid Content-Length"}
+            status, _ = await loadgen.http_request(
+                server.host, server.port, "GET", "/healthz"
+            )
+            assert status == 200
+            await server.stop()
+            assert driver.tickets == []
+
+        asyncio.run(scenario())
+
+
+class TestPumpWakeRule:
+    def count_idle_advances(self, pacer):
+        async def scenario():
+            server = LiveServer(
+                make_driver(("image-query",)), pacer, idle_poll=0.01
+            )
+            calls = 0
+            advance = server._advance
+
+            def counting():
+                nonlocal calls
+                calls += 1
+                return advance()
+
+            server._advance = counting
+            await server.start()
+            await asyncio.sleep(0.2)
+            idle = calls
+            await server.stop()
+            return idle
+
+        return asyncio.run(scenario())
+
+    def test_time_warp_pump_sleeps_until_woken(self):
+        # One pass at start-up, then nothing until a request or a stop.
+        assert self.count_idle_advances(TimeWarpPacer()) == 1
+
+    def test_wall_clock_pump_polls_while_idle(self):
+        assert self.count_idle_advances(WallClockPacer(time_scale=1.0)) > 3
+
+
+class TestConcurrentTimeWarp:
+    def test_bodies_match_log_and_requests_overlap(self, tmp_path):
+        log_path = tmp_path / "concurrent.jsonl"
+        apps = ("image-query", "amber-alert")
+        bodies = []
+
+        async def scenario():
+            driver = make_driver(apps)
+            server = LiveServer(
+                driver, TimeWarpPacer(), log=RequestLogWriter(log_path)
+            )
+            await server.start()
+
+            async def connection(k):
+                for i in range(10):
+                    status, payload = await loadgen.http_request(
+                        server.host,
+                        server.port,
+                        "POST",
+                        f"/invoke/{apps[(k + i) % 2]}",
+                    )
+                    bodies.append((status, payload))
+
+            await asyncio.gather(*(connection(k) for k in range(4)))
+            await server.stop()
+
+        asyncio.run(scenario())
+        parsed = read_request_log(log_path)
+        logged = {record["index"]: record for record in parsed.responses}
+        assert len(bodies) == len(logged) == 40
+        for status, payload in bodies:
+            assert status == 200
+            assert payload == logged[payload["index"]]
+
+        # Requests overlap in simulated time: the pump injected a batch of
+        # queued requests before the earlier ones completed.
+        done = {r["index"]: r["resolved_at"] for r in parsed.responses}
+        stamps = [(r["t"], r["index"]) for r in parsed.requests]
+        assert any(
+            t_a < t_b < done[a]
+            for t_a, a in stamps
+            for t_b, b in stamps
+            if a != b
+        )
+        _, diffs = verify_replay(log_path)
+        assert diffs == []
+
+        # Logs from before responses were encoded once wrote every record
+        # with sorted keys; they still parse to the same records.
+        old_format = tmp_path / "sorted.jsonl"
+        old_format.write_text(
+            "".join(
+                json.dumps(json.loads(line), sort_keys=True) + "\n"
+                for line in log_path.read_text().splitlines()
+            )
+        )
+        assert read_request_log(old_format) == parsed
+        _, diffs = verify_replay(old_format)
+        assert diffs == []
 
 
 class TestClosedLoopRecordReplay:
