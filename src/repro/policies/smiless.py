@@ -65,6 +65,11 @@ def _cached_predictor(key: tuple, train):
     return cached
 
 
+def _tail_quantile(gaps: np.ndarray, q: float) -> float:
+    """``q``-quantile of the last ten inter-arrival gaps."""
+    return float(np.quantile(gaps[-10:], q))
+
+
 def _train_key(kind: str, counts: np.ndarray, seed: int) -> tuple:
     digest = hashlib.blake2b(counts.tobytes(), digest_size=16).digest()
     return (kind, str(counts.dtype), counts.size, digest, seed)
@@ -175,6 +180,8 @@ class SMIlessPolicy(Policy):
         # window ticks, so all predictions are constant while its length is.
         self._pred_win = -1
         self._pred_cache: dict[str, float | int] = {}
+        # Gap-tail quantiles by q, with the gap count they were taken at.
+        self._quantile_memo: dict[float, tuple[int, float]] = {}
         # Mirror of the directives this policy has issued, for the
         # unchanged-directive skip (the gateway holds the same mapping).
         self._issued_directives: dict[str, FunctionDirective] = {}
@@ -197,7 +204,9 @@ class SMIlessPolicy(Policy):
         """Predicted gap to the next invocation (seconds)."""
         return self._it_from_gaps(gaps_from_counts(counts), counts)
 
-    def _it_from_gaps(self, gaps: np.ndarray, counts: np.ndarray) -> float:
+    def _it_from_gaps(
+        self, gaps: np.ndarray, counts: np.ndarray, quantile=_tail_quantile
+    ) -> float:
         p = self.interarrival_predictor
         if (
             p is not None
@@ -210,7 +219,7 @@ class SMIlessPolicy(Policy):
             # Conservative (low-quantile) fallback: under-estimating IT makes
             # pre-warming early, which costs a little idle time; the paper's
             # predictor is trained asymmetrically for the same reason.
-            return float(np.quantile(gaps[-10:], 0.25))
+            return quantile(gaps, 0.25)
         return self.default_it
 
     def predict_inter_arrival_upper(self, counts: np.ndarray) -> float:
@@ -219,12 +228,25 @@ class SMIlessPolicy(Policy):
         Keep-alive must *survive* until the next arrival, so it needs an
         over-estimate — the mirror image of the pre-warm-timing estimate.
         """
-        return self._it_upper_from_gaps(gaps_from_counts(counts), counts)
+        return self._it_upper_from_gaps(gaps_from_counts(counts))
 
-    def _it_upper_from_gaps(self, gaps: np.ndarray, counts: np.ndarray) -> float:
-        if gaps.size:
-            return float(np.quantile(gaps[-10:], 0.9))
-        return max(self.predict_inter_arrival(counts), self.default_it)
+    def _it_upper_from_gaps(
+        self, gaps: np.ndarray, quantile=_tail_quantile
+    ) -> float:
+        # Without a gap the low-side estimate is ``default_it`` as well.
+        return quantile(gaps, 0.9) if gaps.size else self.default_it
+
+    def _run_quantile(self, gaps: np.ndarray, q: float) -> float:
+        """``_tail_quantile`` of this run's gap buffer, memoized on its length.
+
+        The buffer only grows when a non-empty window arrives, so the
+        windows in between all ask for the value already computed.
+        """
+        n, val = self._quantile_memo.get(q, (-1, 0.0))
+        if n != self._gaps_len:
+            val = _tail_quantile(gaps, q)
+            self._quantile_memo[q] = (self._gaps_len, val)
+        return val
 
     def _gaps(self, counts: np.ndarray) -> np.ndarray:
         """Incrementally maintained ``gaps_from_counts(counts)``.
@@ -275,9 +297,9 @@ class SMIlessPolicy(Policy):
         if val is None:
             gaps = self._gaps(counts)
             if kind == "it":
-                val = self._it_from_gaps(gaps, counts)
+                val = self._it_from_gaps(gaps, counts, self._run_quantile)
             elif kind == "it_upper":
-                val = self._it_upper_from_gaps(gaps, counts)
+                val = self._it_upper_from_gaps(gaps, self._run_quantile)
             else:
                 val = self.predict_invocations(counts)
             self._pred_cache[kind] = val

@@ -23,6 +23,7 @@ from repro.predictor.lstm import (
     Adam,
     DenseLayer,
     LSTMLayer,
+    PrefixStateCache,
     asymmetric_squared_error,
 )
 from repro.utils.rng import ensure_rng
@@ -91,6 +92,10 @@ class InterArrivalPredictor:
         # Any training step invalidates it by bumping the version.
         self._weights_version = 0
         self._predict_memo: dict[tuple[int, bytes], float] = {}
+        # Exact LSTM states by input prefix, one cache per layer, valid for
+        # the same weights.
+        self._gap_states = PrefixStateCache()
+        self._count_states = PrefixStateCache()
 
     # -- dataset construction ---------------------------------------------------
     def build_dataset(
@@ -137,9 +142,15 @@ class InterArrivalPredictor:
                 idx = order[start : start + self.batch_size]
                 self._train_batch(G[idx], C[idx], y[idx])
         self.trained = True
+        self._weights_changed()
+        return self
+
+    def _weights_changed(self) -> None:
+        """Invalidate the prediction memo and the prefix states."""
         self._weights_version += 1
         self._predict_memo.clear()
-        return self
+        self._gap_states.clear()
+        self._count_states.clear()
 
     def _train_batch(self, gb: np.ndarray, cb: np.ndarray, yb: np.ndarray) -> float:
         gh, gcache = self.gap_lstm.forward(gb)
@@ -191,8 +202,7 @@ class InterArrivalPredictor:
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
                 self._train_batch(G[idx], C[idx], y[idx])
-        self._weights_version += 1
-        self._predict_memo.clear()
+        self._weights_changed()
         return self
 
     # -- inference ------------------------------------------------------------
@@ -207,8 +217,10 @@ class InterArrivalPredictor:
 
         The forward pass only consumes the last ``gap_window`` gaps and the
         last ``count_window`` counts, so repeated calls with an unchanged
-        history tail are memoized on (weights version, tail digest); the
-        cached value is bit-identical to the uncached forward pass.
+        history tail are memoized on (weights version, tail digest), and
+        each LSTM resumes from the longest input prefix it has seen.  Both
+        caches return the bits of the uncached forward pass;
+        ``use_cache=False`` bypasses both.
         """
         if not self.trained:
             raise RuntimeError("predictor must be fit() before prediction")
@@ -234,21 +246,26 @@ class InterArrivalPredictor:
             cached = self._predict_memo.get(key)
             if cached is not None:
                 return cached
-        pred = self._forward_tails(g_tail, c_tail)
+        pred = self._forward_tails(g_tail, c_tail, use_cache)
         if use_cache:
             if len(self._predict_memo) > _PREDICT_MEMO_LIMIT:
                 self._predict_memo.clear()
             self._predict_memo[key] = pred
         return pred
 
-    def _forward_tails(self, g_tail: np.ndarray, c_tail: np.ndarray | None) -> float:
+    def _forward_tails(
+        self, g_tail: np.ndarray, c_tail: np.ndarray | None, use_cache: bool
+    ) -> float:
         g = (g_tail / self._gap_scale)[None, :, None]
-        merged = self.gap_lstm.last_hidden(g)
+        merged = self.gap_lstm.last_hidden(
+            g, self._gap_states if use_cache else None
+        )
         if self.count_lstm is not None:
             c = (c_tail / self._count_scale)[None, :, None]
-            merged = np.concatenate(
-                [merged, self.count_lstm.last_hidden(c)], axis=1
+            hc = self.count_lstm.last_hidden(
+                c, self._count_states if use_cache else None
             )
+            merged = np.concatenate([merged, hc], axis=1)
         pred = float(self.head.forward(np.tanh(merged))[0, 0]) * self._gap_scale
         return max(self.window_seconds, pred)
 

@@ -19,6 +19,7 @@ from repro.predictor.lstm import (
     Adam,
     DenseLayer,
     LSTMLayer,
+    PrefixStateCache,
     make_windows,
     softmax,
     softmax_cross_entropy,
@@ -83,6 +84,8 @@ class InvocationPredictor:
         # Any training step invalidates it by bumping the version.
         self._weights_version = 0
         self._predict_memo: dict[tuple[int, bytes], int] = {}
+        # Exact LSTM states by input prefix, valid for the same weights.
+        self._prefix_states = PrefixStateCache()
 
     # -- bucketing ------------------------------------------------------------
     def bucket_of(self, count: int) -> int:
@@ -114,9 +117,14 @@ class InvocationPredictor:
                 idx = order[start : start + self.batch_size]
                 self._train_batch(Xn[idx], labels[idx])
         self.trained = True
+        self._weights_changed()
+        return self
+
+    def _weights_changed(self) -> None:
+        """Invalidate the prediction memo and the prefix states."""
         self._weights_version += 1
         self._predict_memo.clear()
-        return self
+        self._prefix_states.clear()
 
     def _train_batch(self, xb: np.ndarray, yb: np.ndarray) -> float:
         hs, cache = self.lstm.forward(xb)
@@ -160,8 +168,7 @@ class InvocationPredictor:
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
                 self._train_batch(Xn[idx], labels[idx])
-        self._weights_version += 1
-        self._predict_memo.clear()
+        self._weights_changed()
         return self
 
     # -- inference ------------------------------------------------------------
@@ -183,19 +190,25 @@ class InvocationPredictor:
 
     def predict_proba(self, history: np.ndarray) -> np.ndarray:
         """Bucket probability distribution for the next window."""
+        return self._proba(history, self._prefix_states)
+
+    def _proba(
+        self, history: np.ndarray, states: PrefixStateCache | None
+    ) -> np.ndarray:
         self._check_ready(history)
         x = (np.asarray(history, dtype=float)[-self.window :] / self._scale)[
             None, :, None
         ]
-        return softmax(self.head.forward(self.lstm.last_hidden(x)))[0]
+        return softmax(self.head.forward(self.lstm.last_hidden(x, states)))[0]
 
     def predict_next(self, history: np.ndarray, *, use_cache: bool = True) -> int:
         """Predicted invocation count: bucket upper bound plus compensation.
 
         The forward pass only consumes the last ``window`` counts, so
         repeated calls with an unchanged history tail are memoized on
-        (weights version, tail digest); the cached value is bit-identical
-        to the uncached forward pass.
+        (weights version, tail digest), and the forward pass itself resumes
+        from the longest input prefix it has seen.  Both caches return the
+        bits of the uncached forward pass; ``use_cache=False`` bypasses both.
         """
         self._check_ready(history)
         if use_cache:
@@ -206,7 +219,8 @@ class InvocationPredictor:
             cached = self._predict_memo.get(key)
             if cached is not None:
                 return cached
-        raw = self.upper_bound(self.predict_bucket(history))
+        probs = self._proba(history, self._prefix_states if use_cache else None)
+        raw = self.upper_bound(self._select_bucket(probs[None, :])[0])
         pred = int(round(raw * (1.0 + self.compensation)))
         if use_cache:
             if len(self._predict_memo) > _PREDICT_MEMO_LIMIT:

@@ -4,7 +4,11 @@ The paper trains its predictors with PyTorch LSTMs; this module provides the
 same building blocks without a deep-learning dependency:
 
 - :class:`LSTMLayer` — a single LSTM layer processing ``(B, T, I)`` batches,
-  returning all hidden states and a cache for truncated BPTT;
+  returning all hidden states and a cache for truncated BPTT, plus an
+  inference-only :meth:`~LSTMLayer.last_hidden` that runs the same
+  arithmetic in place and returns the final state;
+- :class:`PrefixStateCache` — a bounded trie of exact single-sequence
+  states keyed by input prefix, from which ``last_hidden`` resumes;
 - :class:`DenseLayer` — an affine head;
 - :class:`Adam` — the optimizer, with global-norm gradient clipping;
 - loss helpers: softmax cross-entropy (classification) and an asymmetric
@@ -14,7 +18,10 @@ same building blocks without a deep-learning dependency:
 
 The implementation favors clarity over raw speed, but all per-timestep math
 is vectorized over the batch so training the paper-scale models (hidden
-sizes 30–128, sequences of ~3600 windows) takes seconds.
+sizes 30–128, sequences of ~3600 windows) takes seconds.  Online inference,
+one short sequence per prediction, is bound by per-call NumPy overhead
+instead, which is what ``last_hidden`` and the prefix cache cut; both give
+the same bits as ``forward``.
 """
 
 from __future__ import annotations
@@ -29,6 +36,76 @@ from repro.utils.rng import ensure_rng
 def _xavier(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     scale = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-scale, scale, size=(rows, cols))
+
+
+#: Nodes a :class:`PrefixStateCache` holds before it is cleared.
+_PREFIX_NODES = 256
+
+#: Longest input prefix whose state a :class:`PrefixStateCache` records.
+_PREFIX_DEPTH = 16
+
+
+class PrefixStateCache:
+    """Exact LSTM states of single sequences, keyed by their input prefix.
+
+    A trie over timestep inputs (the raw bytes of each ``float64`` step, so
+    ``0.0`` and ``-0.0`` stay distinct): the node reached by ``x[0..k]``
+    holds copies of ``(h, c)`` after step ``k`` from the zero state.  Only
+    prefixes up to ``_PREFIX_DEPTH`` steps are recorded, and the whole trie
+    is dropped when it reaches ``_PREFIX_NODES`` nodes, so its size stays
+    bounded (about 1 KB per node at hidden size 32).  Valid for one set of
+    weights: clear it whenever they change.
+    """
+
+    __slots__ = ("_root", "nodes")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every recorded state."""
+        self._root: dict = {}
+        self.nodes = 0
+
+    def resume(
+        self, keys: list[bytes], h: np.ndarray, c: np.ndarray
+    ) -> tuple[int, dict]:
+        """Load the state after the longest recorded prefix of ``keys``.
+
+        Copies that state into ``h`` and ``c`` (left untouched on a miss)
+        and returns the prefix length plus the children of its node, where
+        :meth:`record` adds the next step.
+        """
+        children = self._root
+        node = None
+        k = 0
+        for key in keys:
+            nxt = children.get(key)
+            if nxt is None:
+                break
+            node = nxt
+            children = nxt[2]
+            k += 1
+        if node is not None:
+            np.copyto(h, node[0])
+            np.copyto(c, node[1])
+        return k, children
+
+    def record(
+        self, children: dict, key: bytes, h: np.ndarray, c: np.ndarray
+    ) -> dict | None:
+        """Add the state after one more step under ``children``.
+
+        Returns the new node's children, or ``None`` once the trie was full
+        and has been cleared (the caller stops recording for this run).
+        """
+        if self.nodes >= _PREFIX_NODES:
+            self.clear()
+            return None
+        node = (h.copy(), c.copy(), {})
+        children[key] = node
+        self.nodes += 1
+        return node[2]
 
 
 class LSTMLayer:
@@ -107,13 +184,23 @@ class LSTMLayer:
             cache["tanh_cs"].append(tanh_c)
         return hs, cache
 
-    def last_hidden(self, x: np.ndarray) -> np.ndarray:
+    def last_hidden(
+        self, x: np.ndarray, states: PrefixStateCache | None = None
+    ) -> np.ndarray:
         """Final hidden state ``(B, H)`` of each sequence, inference-only.
 
-        Runs the exact per-timestep arithmetic of :meth:`forward` without
-        materializing the BPTT cache or the full ``(B, T, H)`` hidden
-        tensor — bit-identical to ``forward(x)[0][:, -1, :]`` but without
-        the bookkeeping, which dominates online single-sequence predicts.
+        Bit-identical to ``forward(x)[0][:, -1, :]``: every element goes
+        through the same floating-point operations in the same order, but
+        each timestep writes in place into buffers allocated once per call
+        (one sigmoid over all four gate blocks, the g block's result
+        unused), with no BPTT cache and no ``(B, T, H)`` hidden tensor.
+
+        With a :class:`PrefixStateCache` and a single sequence (``B == 1``)
+        the run resumes from the state after the longest input prefix the
+        cache has seen, and records the states of the prefixes it computes.
+        The state after a prefix depends only on that prefix and the
+        weights, so the result is the same bits either way; the caller
+        clears the cache whenever the weights change.
         """
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ValueError(
@@ -121,28 +208,63 @@ class LSTMLayer:
             )
         B, T, _ = x.shape
         H = self.hidden_size
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
+        # Time-major input; a single sequence drops the batch axis, which
+        # spares every ufunc below a broadcast over a unit dimension.
+        lead = () if B == 1 else (B,)
+        xs = x[0] if B == 1 else x.transpose(1, 0, 2)
+        h = np.zeros(lead + (H,))
+        c = np.zeros(lead + (H,))
+        start = 0
+        keys = children = None
+        if states is not None and B == 1 and T:
+            raw = np.ascontiguousarray(xs, dtype=float).tobytes()
+            w = len(raw) // T
+            keys = [raw[t * w : (t + 1) * w] for t in range(min(T, _PREFIX_DEPTH))]
+            start, children = states.resume(keys, h, c)
         WxT = self.Wx.T
         WhT = self.Wh.T
         b = self.b
-        xz = x @ WxT if self.input_size == 1 else None
-        for t in range(T):
-            zx = xz[:, t, :] if xz is not None else x[:, t, :] @ WxT
-            z = zx + h @ WhT + b
-            # One sigmoid over the i/f/o columns gathered contiguously
-            # (sigmoid is elementwise, so gathering first is bitwise
-            # identical to the per-gate calls and halves the ufunc count).
-            s = _sigmoid(
-                np.concatenate([z[:, : 2 * H], z[:, 3 * H :]], axis=1)
-            )
-            i = s[:, :H]
-            f = s[:, H : 2 * H]
-            o = s[:, 2 * H :]
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-        return h
+        z = np.empty(lead + (4 * H,))
+        # Sigmoid numerators and denominators side by side: one exp for both.
+        u = np.empty((2,) + lead + (4 * H,))
+        num, den = u[0], u[1]
+        g = np.empty(lead + (H,))
+        tanh_c = np.empty(lead + (H,))
+        i, f, o = num[..., :H], num[..., H : 2 * H], num[..., 3 * H :]
+        zg = z[..., 2 * H : 3 * H]
+        # Array operands: a Python float costs a conversion on every call.
+        zero = np.zeros_like(z)
+        one = np.ones_like(z)
+        minus_one = -one
+        if self.input_size == 1:
+            # One multiply per element, so the batched projection is
+            # bitwise identical to the per-timestep one (see forward).
+            zxs = xs[start:] @ WxT
+        else:
+            zxs = (xs[t] @ WxT for t in range(start, T))
+        for t, zx in enumerate(zxs, start):
+            # z = zx + h @ WhT + b, evaluated left to right as in forward.
+            np.matmul(h, WhT, out=z)
+            np.add(zx, z, out=z)
+            np.add(z, b, out=z)
+            # _sigmoid over all four gate blocks: exp(min(z, 0)) is its
+            # numerator bit for bit (1.0 for z >= 0, exp(z) otherwise) and
+            # copysign(z, -1) is its -|z|.
+            np.minimum(z, zero, out=num)
+            np.copysign(z, minus_one, out=den)
+            np.exp(u, out=u)
+            np.add(den, one, out=den)
+            np.divide(num, den, out=num)
+            np.tanh(zg, out=g)
+            # c = f * c + i * g; h = o * tanh(c)
+            np.multiply(f, c, out=c)
+            np.multiply(i, g, out=g)
+            np.add(c, g, out=c)
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
+            if children is not None and t < len(keys):
+                children = states.record(children, keys[t], h, c)
+        return h.reshape(B, H)
 
     def backward(
         self, dhs: np.ndarray, cache: dict

@@ -9,6 +9,8 @@ from repro.experiments import build_environment
 from repro.experiments.runners import PAPER_APPS
 from repro.hardware import HardwareConfig
 from repro.policies import AlwaysOnPolicy
+from repro.policies import smiless as smiless_module
+from repro.predictor.lstm import LSTMLayer, PrefixStateCache
 from repro.simulator import (
     Cluster,
     Deployment,
@@ -132,3 +134,62 @@ class TestWorkSignal:
         assert sum(len(e.trace) for e in envs) == 1164
         assert sim.events.processed == 8038
         assert scheduled == 8059
+
+    def test_smiless_corun_predictor_work(self, monkeypatch):
+        """LSTM work of a smiless co-run of the mixed benchmark's apps.
+
+        ``last_hidden`` runs once per uncached prediction, 436 times over
+        10,794 input timesteps.  Before the prefix-state cache every one
+        of those timesteps was computed; now 6,856 are, the rest resumed
+        from states recorded for the same input prefix.  Before the
+        gap-quantile memo the policy took 481 ``np.quantile`` calls; now
+        118.
+        """
+        # A fresh trained-predictor cache, so no earlier test's run has
+        # warmed the predictors' prefix states.
+        monkeypatch.setattr(smiless_module, "_PREDICTOR_CACHE", {})
+        work = {"calls": 0, "steps": 0, "resumed": 0, "quantiles": 0}
+        last_hidden = LSTMLayer.last_hidden
+        resume = PrefixStateCache.resume
+        quantile = np.quantile
+
+        def counting_last_hidden(self, x, *args, **kwargs):
+            work["calls"] += 1
+            work["steps"] += x.shape[1]
+            return last_hidden(self, x, *args, **kwargs)
+
+        def counting_resume(self, *args):
+            k, children = resume(self, *args)
+            work["resumed"] += k
+            return k, children
+
+        def counting_quantile(*args, **kwargs):
+            work["quantiles"] += 1
+            return quantile(*args, **kwargs)
+
+        monkeypatch.setattr(LSTMLayer, "last_hidden", counting_last_hidden)
+        monkeypatch.setattr(PrefixStateCache, "resume", counting_resume)
+        monkeypatch.setattr(np, "quantile", counting_quantile)
+        pins = (
+            ("amber-alert", "steady", 2.0),
+            ("image-query-swap", "bursty", 1.0),
+            ("llm-chat", "steady", 6.0),
+        )
+        envs = [
+            build_environment(
+                app, preset=preset, sla=sla, duration=120.0,
+                train_duration=600.0, seed=1,
+            )
+            for app, preset, sla in pins
+        ]
+        sim = MultiAppSimulator(
+            [Deployment(e.app, e.trace, e.make_policy("smiless")) for e in envs],
+            seed=1,
+            retention="sketch",
+        )
+        sim.run()
+        assert sim.events.processed == 1684
+        assert work["calls"] == 436
+        assert work["steps"] == 10_794
+        assert work["steps"] - work["resumed"] == 6_856
+        assert work["quantiles"] == 118

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.predictor.lstm as lstm_module
 from repro.predictor.lstm import (
     Adam,
     DenseLayer,
     LSTMLayer,
+    PrefixStateCache,
     asymmetric_squared_error,
     make_windows,
     softmax,
@@ -57,6 +61,141 @@ class TestLSTMForward:
         a, _ = layer.forward(x)
         b, _ = layer.forward(x)
         np.testing.assert_array_equal(a, b)
+
+
+def _reference_last(layer, x):
+    """``forward``'s last hidden state (zeros when the sequence is empty)."""
+    if x.shape[1] == 0:
+        return np.zeros((x.shape[0], layer.hidden_size))
+    return layer.forward(x)[0][:, -1, :]
+
+
+class TestLastHidden:
+    """``last_hidden`` is ``forward(x)[0][:, -1, :]``, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        batch=st.integers(1, 4),
+        steps=st.integers(0, 24),
+        input_size=st.sampled_from([1, 1, 2, 3]),
+        hidden=st.sampled_from([1, 3, 8, 30]),
+        weight_scale=st.sampled_from([0.1, 1.0, 40.0]),
+        input_kind=st.sampled_from(["normal", "zeros", "integers", "large"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_forward_bitwise(
+        self, seed, batch, steps, input_size, hidden, weight_scale, input_kind
+    ):
+        rng = np.random.default_rng(seed)
+        layer = LSTMLayer(input_size, hidden, rng)
+        layer.Wx *= weight_scale
+        layer.Wh *= weight_scale
+        layer.b += rng.normal(size=layer.b.shape) * weight_scale
+        shape = (batch, steps, input_size)
+        x = {
+            "normal": lambda: rng.normal(size=shape),
+            "zeros": lambda: np.zeros(shape),
+            "integers": lambda: rng.integers(0, 3, size=shape).astype(float),
+            "large": lambda: rng.normal(size=shape) * 1e3,
+        }[input_kind]()
+        ref = _reference_last(layer, x)
+        got = layer.last_hidden(x)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        states = PrefixStateCache()
+        for _ in range(2):  # a cold then a warm cache
+            assert layer.last_hidden(x, states).tobytes() == ref.tobytes()
+
+    def test_rejects_bad_shape(self):
+        layer = LSTMLayer(2, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            layer.last_hidden(np.zeros((1, 5, 3)))
+
+    def test_does_not_alias_cached_state(self):
+        layer = LSTMLayer(1, 4, np.random.default_rng(0))
+        x = np.ones((1, 3, 1))
+        states = PrefixStateCache()
+        first = layer.last_hidden(x, states)
+        first += 100.0  # the caller owns its result
+        assert layer.last_hidden(x, states).tobytes() == (
+            _reference_last(layer, x).tobytes()
+        )
+
+
+class TestPrefixStateCache:
+    def _layer(self):
+        return LSTMLayer(1, 6, np.random.default_rng(3))
+
+    def test_resumes_from_longest_shared_prefix(self, monkeypatch):
+        layer = self._layer()
+        states = PrefixStateCache()
+        resumed = []
+        resume = PrefixStateCache.resume
+
+        def spy(self, keys, h, c):
+            k, children = resume(self, keys, h, c)
+            resumed.append(k)
+            return k, children
+
+        monkeypatch.setattr(PrefixStateCache, "resume", spy)
+        a = np.array([0.0, 0.0, 1.0, 2.0, 0.0])[None, :, None]
+        b = np.array([0.0, 0.0, 1.0, 5.0, 5.0])[None, :, None]
+        for x in (a, b, b, a[:, :2]):
+            got = layer.last_hidden(x, states)
+            assert got.tobytes() == _reference_last(layer, x).tobytes()
+        assert resumed == [0, 3, 5, 2]
+        assert states.nodes == 7  # a's five steps, b's last two
+
+    def test_keys_on_exact_bits(self):
+        """``0.0`` and ``-0.0`` compare equal but are different inputs."""
+        layer = self._layer()
+        states = PrefixStateCache()
+        layer.last_hidden(np.zeros((1, 4, 1)), states)
+        x = -np.zeros((1, 4, 1))
+        assert layer.last_hidden(x, states).tobytes() == (
+            _reference_last(layer, x).tobytes()
+        )
+        assert states.nodes == 8
+        # Inputs one ulp apart share no prefix either.
+        y = np.full((1, 4, 1), 0.3)
+        layer.last_hidden(y, states)
+        y_next = np.nextafter(y, 1.0)
+        assert layer.last_hidden(y_next, states).tobytes() == (
+            _reference_last(layer, y_next).tobytes()
+        )
+
+    def test_records_only_up_to_depth(self):
+        layer = self._layer()
+        states = PrefixStateCache()
+        x = np.arange(lstm_module._PREFIX_DEPTH + 10.0)[None, :, None]
+        layer.last_hidden(x, states)
+        assert states.nodes == lstm_module._PREFIX_DEPTH
+
+    def test_batches_bypass_the_cache(self):
+        layer = self._layer()
+        states = PrefixStateCache()
+        x = np.random.default_rng(0).normal(size=(3, 5, 1))
+        assert layer.last_hidden(x, states).tobytes() == (
+            _reference_last(layer, x).tobytes()
+        )
+        assert states.nodes == 0
+
+    def test_clears_when_full_and_never_exceeds_cap(self, monkeypatch):
+        monkeypatch.setattr(lstm_module, "_PREFIX_NODES", 10)
+        layer = self._layer()
+        states = PrefixStateCache()
+        rng = np.random.default_rng(1)
+        peak = 0
+        cleared = False
+        for _ in range(40):
+            x = rng.integers(0, 3, size=(1, 4, 1)).astype(float)
+            before = states.nodes
+            got = layer.last_hidden(x, states)
+            assert got.tobytes() == _reference_last(layer, x).tobytes()
+            assert states.nodes <= 10
+            cleared |= states.nodes < before
+            peak = max(peak, states.nodes)
+        assert cleared and peak == 10
 
 
 class TestLSTMGradients:

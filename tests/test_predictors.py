@@ -13,6 +13,7 @@ from repro.predictor import (
 )
 from repro.predictor.gbrt import RegressionTree
 from repro.predictor.interarrival import gaps_from_counts
+from repro.predictor.lstm import PrefixStateCache
 from repro.predictor.metrics import (
     mean_absolute_percentage_error,
     overestimation_rate,
@@ -162,6 +163,119 @@ class TestInterArrivalPredictor:
         np.testing.assert_allclose(targets, 10.0)
         np.testing.assert_allclose(gap_seqs, 10.0)
         assert count_seqs.shape[1] == 10
+
+
+def _sparse_counts(seed, size=400):
+    """Mostly idle windows, so sliding tails share long prefixes."""
+    rng = np.random.default_rng(seed)
+    return rng.poisson(0.25, size=size) * (rng.random(size) < 0.5)
+
+
+def _resume_spy(monkeypatch):
+    """Record the prefix length every prefix-cache lookup resumes from."""
+    resumed = []
+    resume = PrefixStateCache.resume
+
+    def spy(self, keys, h, c):
+        k, children = resume(self, keys, h, c)
+        resumed.append(k)
+        return k, children
+
+    monkeypatch.setattr(PrefixStateCache, "resume", spy)
+    return resumed
+
+
+class TestPrefixStateReuse:
+    """The predictors' prefix-state caches change no output bit."""
+
+    @pytest.fixture(scope="class")
+    def invocation(self, diurnal_counts):
+        train, _ = diurnal_counts
+        return InvocationPredictor(epochs=1, seed=0).fit(train)
+
+    @pytest.fixture(scope="class")
+    def interarrival(self, periodic_counts):
+        train, _ = periodic_counts
+        return InterArrivalPredictor(epochs=2, seed=0).fit(train)
+
+    def test_invocation_sliding_windows_hit_and_match(
+        self, invocation, monkeypatch
+    ):
+        resumed = _resume_spy(monkeypatch)
+        counts = _sparse_counts(0)
+        p = invocation
+        for end in range(p.window, counts.size):
+            hist = counts[:end]
+            assert p.predict_next(hist) == p.predict_next(hist, use_cache=False)
+            np.testing.assert_array_equal(
+                p.predict_proba(hist), p._proba(hist, None)
+            )
+        assert max(resumed) > 0, "sliding idle tails must reuse prefixes"
+
+    def test_interarrival_sliding_windows_hit_and_match(
+        self, interarrival, monkeypatch
+    ):
+        resumed = _resume_spy(monkeypatch)
+        counts = _sparse_counts(1, size=900)
+        p = interarrival
+        checked = 0
+        for end in range(p.count_window, counts.size, 3):
+            hist = counts[:end]
+            gaps = gaps_from_counts(hist)
+            if gaps.size < p.gap_window:
+                continue
+            got = p.predict_next(gaps, hist)
+            assert got == p.predict_next(gaps, hist, use_cache=False)
+            checked += 1
+        assert checked > 50
+        assert max(resumed) > 0
+
+    def test_use_cache_false_bypasses_prefix_states(
+        self, diurnal_counts, periodic_counts, monkeypatch
+    ):
+        resumed = _resume_spy(monkeypatch)
+        inv = InvocationPredictor(epochs=1, seed=1).fit(diurnal_counts[0])
+        inv.predict_next(diurnal_counts[1], use_cache=False)
+        inter = InterArrivalPredictor(epochs=1, seed=1).fit(periodic_counts[0])
+        test = periodic_counts[1]
+        inter.predict_next(gaps_from_counts(test), test, use_cache=False)
+        assert resumed == []
+        assert inv._prefix_states.nodes == 0
+        assert inter._gap_states.nodes == inter._count_states.nodes == 0
+        inter.predict_next(gaps_from_counts(test), test)
+        assert len(resumed) == 2 and inter._gap_states.nodes > 0
+
+    def test_training_invalidates_prefix_states(self, diurnal_counts):
+        train, test = diurnal_counts
+        p = InvocationPredictor(epochs=1, seed=2).fit(train)
+        hists = [test[: end] for end in range(p.window, 200, 7)]
+        for h in hists:
+            p.predict_next(h)
+        assert p._prefix_states.nodes > 0
+        p.partial_fit(test[:400], epochs=2)
+        assert p._prefix_states.nodes == 0
+        after = [p.predict_next(h) for h in hists]
+        assert after == [p.predict_next(h, use_cache=False) for h in hists]
+        probs = [p.predict_proba(h) for h in hists]
+        for h, got in zip(hists, probs):
+            np.testing.assert_array_equal(got, p._proba(h, None))
+
+    def test_interarrival_training_invalidates_prefix_states(
+        self, periodic_counts
+    ):
+        train, test = periodic_counts
+        p = InterArrivalPredictor(epochs=1, seed=2).fit(train)
+        gaps = gaps_from_counts(test)
+        p.predict_next(gaps, test)
+        assert p._gap_states.nodes > 0 and p._count_states.nodes > 0
+        p.partial_fit(test, epochs=1)
+        assert p._gap_states.nodes == p._count_states.nodes == 0
+        for end in range(300, test.size, 150):
+            hist = test[:end]
+            g = gaps_from_counts(hist)
+            assert p.predict_next(g, hist) == p.predict_next(
+                g, hist, use_cache=False
+            )
 
 
 class TestArima:

@@ -60,6 +60,29 @@ class TestFallbackPredictors:
         hi = policy.predict_inter_arrival_upper(counts)
         assert hi >= lo
 
+    def test_upper_estimate_default_without_gaps(self, profiles):
+        policy = SMIlessPolicy(profiles, default_it=7.5)
+        assert policy.predict_inter_arrival_upper(np.zeros(9, dtype=int)) == 7.5
+        one = np.zeros(9, dtype=int)
+        one[4] = 2
+        assert policy.predict_inter_arrival_upper(one) == 7.5
+
+    def test_per_window_memo_matches_public_estimates(self, profiles):
+        """The run-time path (incremental gaps, quantiles memoized on the
+        gap count) returns the public methods' values on every window of
+        an append-only history."""
+        policy = SMIlessPolicy(profiles, default_it=7.5)
+        rng = np.random.default_rng(5)
+        counts = rng.poisson(0.3, size=200) * (rng.random(200) < 0.4)
+        for end in range(1, counts.size + 1):
+            hist = counts[:end]
+            assert policy._predicted(hist, "it") == (
+                policy.predict_inter_arrival(hist)
+            )
+            assert policy._predicted(hist, "it_upper") == (
+                policy.predict_inter_arrival_upper(hist)
+            )
+
     def test_invocation_fallback_cases(self, profiles):
         policy = SMIlessPolicy(profiles)
         assert policy.predict_invocations(np.array([], dtype=int)) == 0
